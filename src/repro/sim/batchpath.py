@@ -28,9 +28,13 @@ in lock-step and *vectorised by family*:
   explorative EPD draws remain scalar islands driven by each member's own
   ``random.Random`` stream (see :mod:`repro.rtm.batch`);
 * **generic** (oracle, the many-core RL formulations, any third-party
-  governor): ``decide()`` is called per member, scalar, but the physics,
-  sensor and bookkeeping still run batched — correct for *every* governor,
-  merely less fast.
+  governor): nothing to vectorise — ``decide()`` is scalar Python either
+  way — so these members always run on the per-scenario table engine.
+
+A family narrower than its measured crossover width
+(:data:`DEFAULT_SCALAR_CUTOFFS`) takes the same per-scenario route; its
+result columns are re-homed in the batch's compact deferred form, so a
+routed member costs no more memory than a vectorised one.
 
 Bit-identity is the contract, not a tolerance: every float is produced by
 the same IEEE operation on the same operands as the per-scenario table
@@ -68,7 +72,7 @@ from repro.governors.ondemand import OndemandGovernor
 from repro.platform.cluster import ThermalWorkloadTable, WorkloadTable
 from repro.platform.dvfs import DVFSTransition
 from repro.rtm.batch import BatchedAgents
-from repro.rtm.governor import EpochObservation, FrameHint, PlatformInfo
+from repro.rtm.governor import PlatformInfo
 from repro.rtm.prediction import EWMAPredictor
 from repro.rtm.rl_governor import RLGovernor
 from repro.rtm.state import WorkloadRangeTracker
@@ -90,8 +94,9 @@ BatchMember = Tuple["Cluster", "Governor"]
 def batch_path_eligible(cluster: "Cluster") -> bool:
     """True when the batched engine reproduces the scalar engine for ``cluster``.
 
-    Only NumPy is required: thermal and isothermal clusters both batch (the
-    generic governor family makes every governor steppable).
+    Only NumPy is required: thermal and isothermal clusters both batch, and
+    every governor is steppable (families without a vectorised runner take
+    the per-scenario table engine inside the batch).
     """
     return _np is not None
 
@@ -112,17 +117,41 @@ def precompute_tables(
     return tablepath.precompute_tables(cluster, application, config)
 
 
-#: Family-kind → minimum batch width at which vectorising beats running the
-#: members through the per-scenario table engine one by one.  The RL family
-#: pays an S-independent chain of small-array NumPy dispatches per frame
-#: (Bellman update, ε-greedy selection, reward shaping), so a narrow RL
-#: group is faster scalar; the static and threshold families vectorise
-#: profitably at any width.  Opt-in: pass to :func:`run_batch` /
+#: Thermal mode → family kind → minimum width at which the vectorised
+#: runner beats running the members one by one on the per-scenario table
+#: engine.  Measured per member on h264 at 3000 frames, best of 3, in
+#: µs/frame, vectorised vs per-scenario, on a 2-CPU x86-64 box with
+#: Python 3.11 and numpy 2.4 (``benchmarks/bench_batch_crossover.py``
+#: prints the full table):
+#:
+#: ============  ===================  ===================
+#: family        isothermal           thermal
+#: ============  ===================  ===================
+#: static        S=1: 0.3 vs 3.3      S=8: 6.3 vs 4.3,
+#:                                    S=16: 3.4 vs 4.2
+#: ondemand      S=2: 5.6 vs 5.2,     S=8: 10.2 vs 5.7,
+#:               S=4: 3.0 vs 4.7      S=16: 5.9 vs 5.7
+#: conservative  S=2: 5.0 vs 3.2,     S=8: 7.5 vs 4.1,
+#:               S=4: 2.5 vs 3.2      S=16: 4.0 vs 4.1
+#: rl            S=4: 16.1 vs 9.5,    S=8: 16.1 vs 10.9,
+#:               S=8: 8.6 vs 10.4     S=16: 9.0 vs 11.1
+#: ============  ===================  ===================
+#:
+#: Every vectorised frame pays an S-independent chain of small-array NumPy
+#: dispatches, and the thermal step (per-member leakage and RC decay
+#: islands) pays several times more of them, so the crossover sits higher
+#: on thermal clusters.  The isothermal static family has no frame loop at
+#: all and wins at any width (ondemand at thermal S=16 is a tie; S=32 wins
+#: at 4.1 vs 5.7).  The generic family has no vectorised runner and always
+#: runs per scenario, cutoffs or not.  Opt-in: pass to :func:`run_batch` /
 #: :func:`simulate_batch` (the campaign batch planner and the benchmarks
-#: do; the identity tests force full batching by omitting it).  Results are
-#: identical either way — routing only moves a family between two engines
-#: that are bit-equal by contract.
-DEFAULT_SCALAR_CUTOFFS: Dict[str, int] = {"rl": 8}
+#: do; the identity tests force full batching by omitting it).  Results
+#: are identical either way — routing only moves a family between two
+#: engines that are bit-equal by contract.
+DEFAULT_SCALAR_CUTOFFS: Dict[str, Dict[str, int]] = {
+    "isothermal": {"ondemand": 4, "conservative": 4, "rl": 8},
+    "thermal": {"static": 16, "ondemand": 16, "conservative": 16, "rl": 16},
+}
 
 
 def run_batch(
@@ -130,7 +159,7 @@ def run_batch(
     application: "Application",
     config: "SimulationConfig",
     tables=None,
-    scalar_cutoffs: Optional[Dict[str, int]] = None,
+    scalar_cutoffs: Optional[Dict[str, Dict[str, int]]] = None,
 ) -> List[SimulationResult]:
     """Reset, set up and simulate ``members``; the full per-scenario lifecycle.
 
@@ -168,7 +197,6 @@ class _BatchPhysics:
         size = len(clusters)
         self.np = np
         self.size = size
-        self.thermal = thermal
         self.num_points = tables.num_points
         self.pad_to_deadline = tables.idle_until_deadline
         self.max_cycles = tables.max_cycles
@@ -264,13 +292,13 @@ class _BatchPhysics:
                 [sensor._last_power_w for sensor in sensors]
             )
 
-    # -- per-frame step -----------------------------------------------------------
+    # -- per-frame thermal step ---------------------------------------------------
     def step(self, frame: int, indices):
-        """Advance every member one frame at its chosen operating index.
+        """Advance every member of a thermal batch one frame at its chosen index.
 
-        Returns ``(busy, duration, energy, power, measured, tl, core_uncore,
-        frame_throttle)`` — all ``(S,)`` arrays; the last two are ``None``
-        for isothermal batches.
+        Returns ``(busy, duration, energy, power, measured, tl,
+        core_uncore)``, all ``(S,)`` arrays.  Isothermal batches never step
+        frame by frame: see the deferred mode below.
         """
         np = self.np
         current = self.current
@@ -302,39 +330,28 @@ class _BatchPhysics:
         deadline = self.deadlines[frame]
         busy = frame_max_cycles * self.spc[indices]
 
-        core_uncore = None
-        frame_throttle = None
-        if self.thermal:
-            if self.pad_to_deadline:
-                interval = np.where(deadline > busy, deadline, busy)
-            else:
-                interval = busy
-            busy_power, idle_power = self._thermal_powers(indices)
-            spc_gathered = self.spc[indices]
-            core_energy = np.zeros(self.size)
-            for core_cycles in self.cycles_tuples[frame]:
-                core_busy = core_cycles * spc_gathered
-                core_energy = core_energy + (
-                    busy_power * core_busy + idle_power * (interval - core_busy)
-                )
-            core_uncore = core_energy + self.uncore_power_w * interval
-            energy = core_uncore + frame_transition_energy
-            duration = interval + transition_latency
+        if self.pad_to_deadline:
+            interval = np.where(deadline > busy, deadline, busy)
         else:
-            energy = self.energy_table[frame, indices] + frame_transition_energy
-            if self.pad_to_deadline:
-                base = np.where(deadline > busy, deadline, busy)
-            else:
-                base = busy
-            duration = base + transition_latency
+            interval = busy
+        busy_power, idle_power = self._thermal_powers(indices)
+        spc_gathered = self.spc[indices]
+        core_energy = np.zeros(self.size)
+        for core_cycles in self.cycles_tuples[frame]:
+            core_busy = core_cycles * spc_gathered
+            core_energy = core_energy + (
+                busy_power * core_busy + idle_power * (interval - core_busy)
+            )
+        core_uncore = core_energy + self.uncore_power_w * interval
+        energy = core_uncore + frame_transition_energy
+        duration = interval + transition_latency
 
         positive = duration > 0
         power = np.where(
             positive, energy / np.where(positive, duration, 1.0), 0.0
         )
 
-        if self.thermal:
-            frame_throttle = self._thermal_update(duration, power)
+        self._thermal_update(duration, power)
 
         self.time = self.time + duration
         measured = self._measure(power)
@@ -346,7 +363,6 @@ class _BatchPhysics:
             measured,
             transition_latency,
             core_uncore,
-            frame_throttle,
         )
 
     def _thermal_powers(self, indices):
@@ -395,7 +411,7 @@ class _BatchPhysics:
         return busy_power, idle_power
 
     def _thermal_update(self, duration, power):
-        """RC temperature update + throttle accounting; returns the frame flags."""
+        """RC temperature update + throttle accounting."""
         np = self.np
         active = duration > 0
         steady = self.ambient_c + power * self.resistance
@@ -410,9 +426,7 @@ class _BatchPhysics:
             decay[member] = value
         updated = steady + (self.temperature - steady) * decay
         self.temperature = np.where(active, updated, self.temperature)
-        hot = active & (self.temperature >= self.throttle_c)
-        self.throttle_total += hot
-        return hot
+        self.throttle_total += active & (self.temperature >= self.throttle_c)
 
     def _measure(self, power):
         """Step every member's power sensor at the (just advanced) clock."""
@@ -657,15 +671,14 @@ class _FamilyColumns:
         self.lists = None
 
     def store(self, frame, step, overhead) -> None:
-        busy, duration, energy, power, measured, _tl, core_uncore, _throttle = step
+        busy, duration, energy, power, measured, _tl, core_uncore = step
         self.busy[frame] = busy
         self.overhead[frame] = overhead
         self.duration[frame] = duration
         self.energy[frame] = energy
         self.power[frame] = power
         self.measured[frame] = measured
-        if self.core_uncore is not None:
-            self.core_uncore[frame] = core_uncore
+        self.core_uncore[frame] = core_uncore
 
 
 # ---------------------------------------------------------------------------
@@ -1172,100 +1185,6 @@ def _run_rl(np, clusters, governors, application, config, tables, thermal):
     return physics, columns
 
 
-def _run_generic(np, clusters, governors, application, config, tables, thermal):
-    """Scalar decide() per member, batched physics: correct for any governor."""
-    size = len(governors)
-    num_frames = tables.num_frames
-    physics = _BatchPhysics(np, clusters, tables, config, thermal)
-    columns = _FamilyColumns(np, num_frames, size, thermal)
-    charge = config.charge_governor_overhead
-    cycles_tuples = tables.cycles_tuples
-    deadlines = physics.deadlines
-
-    hint = FrameHint(cycles_per_core=cycles_tuples[0], deadline_s=deadlines[0])
-    set_field = object.__setattr__
-    previous: List[Optional[EpochObservation]] = [None] * size
-    static_overhead = [static_processing_overhead(governor) for governor in governors]
-    previous_exploration = [governor.exploration_count for governor in governors]
-    frozen = [governor.exploration_frozen for governor in governors]
-    indices = np.empty(size, dtype=np.intp)
-
-    for frame in range(num_frames):
-        cycles = cycles_tuples[frame]
-        deadline = deadlines[frame]
-        set_field(hint, "cycles_per_core", cycles)
-        set_field(hint, "deadline_s", deadline)
-        for member, governor in enumerate(governors):
-            indices[member] = governor.decide(previous[member], hint)
-        step = physics.step(frame, indices)
-        busy, duration, energy, _power, measured, transition_latency = (
-            step[0],
-            step[1],
-            step[2],
-            step[3],
-            step[4],
-            step[5],
-        )
-        busy_list = busy.tolist()
-        duration_list = duration.tolist()
-        energy_list = energy.tolist()
-        measured_list = measured.tolist()
-        latency_list = transition_latency.tolist()
-        throttle_list = step[7].tolist() if thermal else None
-        index_list = indices.tolist()
-        overhead_row = [0.0] * size
-        for member, governor in enumerate(governors):
-            if charge:
-                base = static_overhead[member]
-                if base is None:
-                    base = governor.processing_overhead_s
-                overhead = base + latency_list[member]
-            else:
-                overhead = 0.0
-            overhead_row[member] = overhead
-
-            if frozen[member]:
-                explored = False
-            else:
-                exploration = governor.exploration_count
-                explored = exploration > previous_exploration[member]
-                previous_exploration[member] = exploration
-                frozen[member] = governor.exploration_frozen
-            columns.explored[frame, member] = explored
-
-            throttle_events = int(throttle_list[member]) if thermal else 0
-            observation = previous[member]
-            if observation is None:
-                previous[member] = EpochObservation(
-                    frame,
-                    cycles,
-                    busy_list[member],
-                    duration_list[member],
-                    deadline,
-                    index_list[member],
-                    energy_list[member],
-                    measured_list[member],
-                    overhead_row[member],
-                    throttle_events,
-                )
-            else:
-                set_field(observation, "epoch_index", frame)
-                set_field(observation, "cycles_per_core", cycles)
-                set_field(observation, "busy_time_s", busy_list[member])
-                set_field(observation, "interval_s", duration_list[member])
-                set_field(observation, "reference_time_s", deadline)
-                set_field(observation, "operating_index", index_list[member])
-                set_field(observation, "energy_j", energy_list[member])
-                set_field(observation, "measured_power_w", measured_list[member])
-                set_field(observation, "overhead_time_s", overhead_row[member])
-                set_field(observation, "throttle_events", throttle_events)
-        columns.opp[frame] = indices
-        columns.store(frame, step, np.asarray(overhead_row))
-        if thermal:
-            columns.temperature[frame] = physics.temperature
-    return physics, columns
-
-
 # ---------------------------------------------------------------------------
 # Partitioning and assembly
 # ---------------------------------------------------------------------------
@@ -1275,8 +1194,8 @@ def _family_key(governor: "Governor"):
     """Vectorisation family (and RL structure subgroup) of ``governor``.
 
     Exact-type checks route subclasses (the many-core RL formulations, a
-    customised ondemand) to the generic family, which is bit-identical by
-    construction for any governor.
+    customised ondemand) to the generic family, which runs on the
+    per-scenario table engine and is therefore correct for any governor.
     """
     governor_type = type(governor)
     if governor_type is OndemandGovernor and static_processing_overhead(
@@ -1310,7 +1229,6 @@ _FAMILY_RUNNERS = {
     "ondemand": _run_ondemand,
     "conservative": _run_conservative,
     "rl": _run_rl,
-    "generic": _run_generic,
 }
 
 
@@ -1319,7 +1237,7 @@ def simulate_batch(
     application: "Application",
     config: "SimulationConfig",
     tables=None,
-    scalar_cutoffs: Optional[Dict[str, int]] = None,
+    scalar_cutoffs: Optional[Dict[str, Dict[str, int]]] = None,
 ) -> List[SimulationResult]:
     """Step every member through ``application`` simultaneously.
 
@@ -1332,11 +1250,13 @@ def simulate_batch(
     cluster physics described by ``tables`` (validated before stepping);
     ``tables`` is rebuilt from the first member when missing or mismatched.
 
-    ``scalar_cutoffs`` (family kind → minimum width, see
-    :data:`DEFAULT_SCALAR_CUTOFFS`) routes families too narrow to amortise
-    the batch axis through the per-scenario table engine instead — same
-    results, shorter wall clock.  ``None`` (the default) batches every
-    family unconditionally.
+    ``scalar_cutoffs`` (thermal mode → family kind → minimum width, see
+    :data:`DEFAULT_SCALAR_CUTOFFS` for the measured crossovers) routes
+    families too narrow to amortise the batch axis through the per-scenario
+    table engine instead — same results, shorter wall clock.  The batch's
+    own thermal mode picks the row.  ``None`` (the default) vectorises
+    every family that has a runner; generic governors take the
+    per-scenario engine either way.
     """
     np = _np
     if np is None:
@@ -1382,21 +1302,31 @@ def simulate_batch(
     # ``cycles_tuples`` already are).
     shared_index = list(range(num_frames))
     shared_temperature = None if thermal else [tables.temperature_c] * num_frames
+    cutoffs = (scalar_cutoffs or {}).get("thermal" if thermal else "isothermal", {})
     for key, positions in partitions.items():
-        if scalar_cutoffs and len(positions) < scalar_cutoffs.get(key[0], 0):
-            # Too narrow to amortise the batch axis: the per-scenario table
-            # engine is faster and bit-equal by contract.
+        runner = _FAMILY_RUNNERS.get(key[0])
+        if runner is None or len(positions) < cutoffs.get(key[0], 0):
+            # No vectorised runner, or too narrow to amortise the batch
+            # axis: the per-scenario table engine is faster and bit-equal
+            # by contract.
             scalar_engine = thermalpath if thermal else tablepath
             for position in positions:
-                results[position] = scalar_engine.simulate_closed_loop(
-                    clusters[position],
-                    application,
-                    governors[position],
-                    config,
-                    tables,
+                results[position] = _compact_result(
+                    np,
+                    scalar_engine.simulate_closed_loop(
+                        clusters[position],
+                        application,
+                        governors[position],
+                        config,
+                        tables,
+                    ),
+                    deadlines,
+                    tables.cycles_tuples,
+                    shared_index,
+                    shared_temperature,
+                    frequencies_mhz,
                 )
             continue
-        runner = _FAMILY_RUNNERS[key[0]]
         family_clusters = [clusters[position] for position in positions]
         family_governors = [governors[position] for position in positions]
         physics, columns = runner(
@@ -1421,6 +1351,64 @@ def simulate_batch(
                 frequencies_mhz,
             )
     return results  # type: ignore[return-value]
+
+
+def _compact_result(
+    np,
+    result: SimulationResult,
+    deadlines: List[float],
+    cycles_tuples,
+    shared_index: List[int],
+    shared_temperature: Optional[List[float]],
+    frequencies_mhz,
+) -> SimulationResult:
+    """Re-home a per-scenario result's columns in the batch's compact form.
+
+    The per-scenario engines return eager Python-list columns; a batch
+    keeps each member's value columns as NumPy arrays, the batch-invariant
+    ones by reference, and builds lists only on first read (exactly as
+    :func:`_finalise_member` does).  ``tolist`` round-trips every native
+    float, int and bool unchanged, and the derived columns are recomputed
+    with the engines' own operations, so the columns read back identical.
+    """
+    eager = result.columns
+    opp = np.asarray(eager.operating_index, dtype=np.intp)
+    busy = np.asarray(eager.busy_time_s)
+    overhead = np.asarray(eager.overhead_time_s)
+    values = {
+        "interval_s": np.asarray(eager.interval_s),
+        "energy_j": np.asarray(eager.energy_j),
+        "average_power_w": np.asarray(eager.average_power_w),
+        "measured_power_w": np.asarray(eager.measured_power_w),
+        "explored": np.asarray(eager.explored, dtype=bool),
+    }
+    if shared_temperature is None:
+        values["temperature_c"] = np.asarray(eager.temperature_c)
+
+    def load_columns():
+        columns = {name: column.tolist() for name, column in values.items()}
+        columns.update(
+            index=shared_index,
+            operating_index=opp.tolist(),
+            frequency_mhz=frequencies_mhz[opp].tolist(),
+            cycles_per_core=cycles_tuples,
+            busy_time_s=busy.tolist(),
+            overhead_time_s=overhead.tolist(),
+            frame_time_s=(busy + overhead).tolist(),
+            deadline_s=deadlines,
+        )
+        if shared_temperature is not None:
+            columns["temperature_c"] = shared_temperature
+        return columns
+
+    return SimulationResult(
+        governor_name=result.governor_name,
+        application_name=result.application_name,
+        reference_time_s=result.reference_time_s,
+        exploration_count=result.exploration_count,
+        converged_epoch=result.converged_epoch,
+        columns=FrameColumns.from_deferred(load_columns),
+    )
 
 
 def _bulk_column_lists(np, columns: _FamilyColumns, frequencies_mhz, thermal) -> None:
@@ -1519,14 +1507,12 @@ def _finalise_member(
         core_uncore_energy = np.ascontiguousarray(physics.core_matrix[:, member])
         transition_energy = np.ascontiguousarray(physics.te_matrix[:, member])
     else:
+        # Thermal batches step frame by frame and stored the energies.
         rows = np.arange(num_frames)
         seconds_per_cycle = np.asarray(tables.seconds_per_cycle)
         busy_times = tables.cycles * seconds_per_cycle[indices][:, None]
         intervals = tables.interval[rows, indices]
-        if thermal:
-            core_uncore_energy = np.ascontiguousarray(columns.core_uncore[:, member])
-        else:
-            core_uncore_energy = tables.energy[rows, indices]
+        core_uncore_energy = np.ascontiguousarray(columns.core_uncore[:, member])
         previous_indices = np.empty_like(indices)
         previous_indices[0] = physics.initial_index[member]
         previous_indices[1:] = indices[:-1]

@@ -16,6 +16,7 @@ keep sharded + merged campaign results identical to unsharded runs.
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -27,11 +28,12 @@ from repro.governors.oracle import OracleGovernor
 from repro.governors.performance import PerformanceGovernor
 from repro.governors.powersave import PowersaveGovernor
 from repro.governors.shen_rl import ShenRLGovernor
+from repro.governors.userspace import UserspaceGovernor
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm.multicore import MultiCoreRLGovernor
 from repro.rtm.qlearning import QLearningParameters
 from repro.rtm.rl_governor import RLGovernor, RLGovernorConfig
-from repro.sim import batchpath
+from repro.sim import batchpath, tablepath, thermalpath
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.workload.fft import fft_application
 from repro.workload.video import mpeg4_application
@@ -126,6 +128,7 @@ def _assert_cluster_state_identical(reference_cluster, cluster, label):
 
 
 def _assert_governor_state_identical(reference_governor, governor, label):
+    assert governor.decision_state() == reference_governor.decision_state(), label
     if isinstance(reference_governor, RLGovernor):
         reference_agent = reference_governor.agent
         agent = governor.agent
@@ -201,22 +204,46 @@ class TestBitIdentity:
         assert len(trajectories) > 1
 
     @pytest.mark.parametrize("thermal", [False, True], ids=["isothermal", "thermal"])
-    def test_scalar_cutoff_routing_identical_to_forced_batching(self, thermal):
+    def test_scalar_cutoff_routing_identical_to_forced_batching(
+        self, thermal, monkeypatch
+    ):
         """The cost model's scalar routing never changes any result.
 
-        With :data:`batchpath.DEFAULT_SCALAR_CUTOFFS` a 3-seed RL family
-        sits below the cutoff and runs member-by-member on the per-scenario
-        engine, while the wider families stay vectorised — and every
-        result, governor and cluster must match a fully batched run.
+        With :data:`batchpath.DEFAULT_SCALAR_CUTOFFS`, width-1 ondemand and
+        conservative families, a 3-seed RL family and a generic family sit
+        below their crossover on either thermal mode and run member by
+        member on the per-scenario engine, while a static family at its
+        crossover width stays vectorised — and every result, governor and
+        cluster must match a fully batched run.
         """
         application = mpeg4_application(num_frames=120, seed=3)
         config = SimulationConfig()
-        factories = [
-            PerformanceGovernor,
-            OndemandGovernor,
-            ConservativeGovernor,
-        ] + [(lambda s=seed: RLGovernor(RLGovernorConfig(seed=s))) for seed in RL_SEEDS]
-        assert len(RL_SEEDS) < batchpath.DEFAULT_SCALAR_CUTOFFS["rl"]
+        cutoffs = batchpath.DEFAULT_SCALAR_CUTOFFS[
+            "thermal" if thermal else "isothermal"
+        ]
+        assert 1 < cutoffs["ondemand"]
+        assert 1 < cutoffs["conservative"]
+        assert len(RL_SEEDS) < cutoffs["rl"]
+        static_width = max(2, cutoffs.get("static", 0))
+        static_factories = [PerformanceGovernor, PowersaveGovernor] + [
+            (lambda index=index: UserspaceGovernor(index=index))
+            for index in range(static_width - 2)
+        ]
+        factories = (
+            static_factories
+            + [OndemandGovernor, ConservativeGovernor, OracleGovernor]
+            + [(lambda s=seed: RLGovernor(RLGovernorConfig(seed=s))) for seed in RL_SEEDS]
+        )
+
+        per_scenario = thermalpath if thermal else tablepath
+        routed_governors = []
+        original = per_scenario.simulate_closed_loop
+
+        def spy(cluster, application, governor, *args, **kwargs):
+            routed_governors.append(governor)
+            return original(cluster, application, governor, *args, **kwargs)
+
+        monkeypatch.setattr(per_scenario, "simulate_closed_loop", spy)
 
         def build_members():
             return [
@@ -226,6 +253,10 @@ class TestBitIdentity:
 
         forced_members = build_members()
         forced = batchpath.run_batch(forced_members, application, config)
+        # Generic governors have no vectorised runner, cutoffs or not.
+        assert routed_governors == [forced_members[len(static_factories) + 2][1]]
+
+        routed_governors.clear()
         routed_members = build_members()
         routed = batchpath.run_batch(
             routed_members,
@@ -233,9 +264,14 @@ class TestBitIdentity:
             config,
             scalar_cutoffs=batchpath.DEFAULT_SCALAR_CUTOFFS,
         )
+        assert routed_governors == [
+            governor for _cluster, governor in routed_members[len(static_factories) :]
+        ]
         for position, (reference, result) in enumerate(zip(forced, routed)):
             label = f"member{position}"
             _assert_columns_identical(reference, result, label)
+            assert result.exploration_count == reference.exploration_count, label
+            assert result.converged_epoch == reference.converged_epoch, label
             assert _miss_set(result) == _miss_set(reference), label
             _assert_governor_state_identical(
                 forced_members[position][1], routed_members[position][1], label
@@ -243,6 +279,48 @@ class TestBitIdentity:
             _assert_cluster_state_identical(
                 forced_members[position][0], routed_members[position][0], label
             )
+
+    @pytest.mark.parametrize("thermal", [False, True], ids=["isothermal", "thermal"])
+    def test_routed_member_columns_stay_deferred_until_read(self, thermal):
+        """Routed members keep the batch's compact, lazily listed columns.
+
+        Until a column is read the result holds no Python lists; once read,
+        pickled and serialised it is indistinguishable from an eager
+        per-scenario engine result.
+        """
+        application = fft_application(num_frames=90, seed=4)
+        config = SimulationConfig()
+        factories = {
+            "ondemand": OndemandGovernor,
+            "conservative": ConservativeGovernor,
+            "rl-seed1": lambda: RLGovernor(RLGovernorConfig(seed=1)),
+            "oracle": OracleGovernor,
+        }
+        members = [
+            (build_a15_cluster(enable_thermal=thermal), factory())
+            for factory in factories.values()
+        ]
+        results = batchpath.run_batch(
+            members,
+            application,
+            config,
+            scalar_cutoffs=batchpath.DEFAULT_SCALAR_CUTOFFS,
+        )
+        for result in results:
+            assert result.columns._loader is not None
+        for (label, factory), result in zip(factories.items(), results):
+            reference, _governor, _cluster = _reference_run(
+                factory, application, config, thermal
+            )
+            assert result.columns.operating_index == reference.columns.operating_index
+            assert result.columns._loader is None
+            _assert_columns_identical(reference, result, label)
+            clone = pickle.loads(pickle.dumps(result))
+            _assert_columns_identical(reference, clone, label)
+            expected = reference.to_dict()
+            del expected["engine_used"]
+            assert clone.to_dict() == expected, label
+            assert result.to_dict() == expected, label
 
     def test_heterogeneous_rl_hyperparameters_in_one_subgroup(self):
         """Members differing only in learning rate / ε batch together."""
