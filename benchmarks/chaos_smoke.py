@@ -8,6 +8,8 @@ worker's scenarios onto the survivor, and the merged result written by
 ``serve`` must be byte-identical to an unsharded in-process serial run
 of the same campaign (the spec comes from
 :mod:`benchmarks.make_smoke_campaign`, same as CI's sharding jobs).
+The coordinator's ``--journal`` must end as a columnar outcomes store
+(``<journal>.outcomes``) holding every scenario.
 
 Usage::
 
@@ -31,7 +33,8 @@ import time
 sys.path.insert(0, os.path.dirname(__file__))
 from make_smoke_campaign import build_smoke_campaign  # noqa: E402
 
-from repro.campaign import run_campaign  # noqa: E402
+from repro.campaign import CampaignResult, run_campaign  # noqa: E402
+from repro.campaign.store import is_store_file  # noqa: E402
 from repro.campaign.service import HTTPClient  # noqa: E402
 
 #: Hard wall-clock budget for the whole exercise.
@@ -151,9 +154,27 @@ def main() -> int:
     if service_result != json.loads(reference.to_json()):
         print("FAIL: service result differs from the unsharded serial run")
         return 1
+    # The journal survived the SIGKILL as an append-only columnar store
+    # holding every scenario, whatever store encoding this install has.
+    sidecar = f"{journal_path}.outcomes"
+    if not is_store_file(sidecar):
+        print(f"FAIL: journal outcomes {sidecar!r} is not a columnar store file")
+        return 1
+    journalled = CampaignResult.load(sidecar)
+    missing = [
+        scenario.label
+        for scenario in campaign.scenarios
+        if scenario.scenario_id not in journalled.outcomes
+    ]
+    if missing:
+        print(f"FAIL: journal outcomes lack {len(missing)} scenario(s): {missing}")
+        return 1
+    if journalled.ordered_for(campaign).to_dict() != reference.to_dict():
+        print("FAIL: journalled outcomes differ from the unsharded serial run")
+        return 1
     print(
         "OK: killed-worker service run is bit-identical to the serial run "
-        f"({len(service_result['outcomes'])} scenarios)"
+        f"({len(service_result['outcomes'])} scenarios, all journalled)"
     )
     return 0
 

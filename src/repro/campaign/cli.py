@@ -384,9 +384,9 @@ def _serve_main(argv: Sequence[str]) -> int:
         "--journal",
         default=None,
         help="journal every state transition to this file; an existing "
-        "journal is resumed from (a corrupt one is quarantined). With a "
-        "columnar --store, outcomes append to <journal>.outcomes in O(1) "
-        "per completion instead of rewriting the whole journal",
+        "journal is resumed from (a corrupt one is quarantined). Outcomes "
+        "append to the columnar store <journal>.outcomes in O(1) per "
+        "completion; the file itself holds only delivery attempts",
     )
     parser.add_argument(
         "--resume",
@@ -431,9 +431,9 @@ def _serve_main(argv: Sequence[str]) -> int:
         "--store",
         choices=result_store.STORE_CHOICES,
         default=result_store.STORE_AUTO,
-        help="format for the journal and --output results: json (legacy "
-        "monolithic), arrow (columnar, needs pyarrow), or auto (columnar "
-        "when available)",
+        help="format for the --output results: json (legacy monolithic), "
+        "arrow (columnar, needs pyarrow), or auto (columnar when available); "
+        "the --journal is always columnar",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress per-transition progress lines"
@@ -454,7 +454,6 @@ def _serve_main(argv: Sequence[str]) -> int:
             ),
             lease_timeout_s=arguments.lease_timeout,
             journal_path=arguments.journal,
-            journal_store=arguments.store,
             resume=resume,
         )
     except (ReproError,) + LOAD_ERRORS as exc:

@@ -776,13 +776,13 @@ class CampaignExecutor:
         units = plan_batches(pending, self.batch_size)
         resolved = result_store.negotiate_store(self.store_format)
         writer: Optional[result_store.StoreWriter] = None
-        if checkpoint_path is not None and resolved != result_store.STORE_JSON:
-            # Seed the columnar checkpoint once (atomic rewrite of the
-            # resume state), then append each completion in O(1).
-            result_store.save_store(store, checkpoint_path, resolved)
-            writer = result_store.StoreWriter.open_append(checkpoint_path)
         completed = 0
         try:
+            if checkpoint_path is not None and resolved != result_store.STORE_JSON:
+                # Seed the columnar checkpoint once (atomic rewrite of the
+                # resume state), then append each completion in O(1).
+                result_store.save_store(store, checkpoint_path, resolved)
+                writer = result_store.StoreWriter.open_append(checkpoint_path)
             for _, outcome in self.backend.run_units(units, self.retry):
                 store.add(outcome)
                 if writer is not None:
@@ -800,12 +800,14 @@ class CampaignExecutor:
             # broken worker pool, a crashing progress callback — the work
             # completed since the last periodic write must survive.  The
             # columnar writer already holds every completion; closing it
-            # flushes the tail appends to disk.
+            # flushes the tail appends to disk.  A columnar run stopped
+            # before its writer opened completed nothing, and the atomic
+            # seed left either the previous checkpoint or the resume state.
             if checkpoint_path is not None:
                 if writer is not None:
                     writer.close()
                     writer = None
-                else:
+                elif resolved == result_store.STORE_JSON:
                     store.save(checkpoint_path)
             if isinstance(exc, KeyboardInterrupt):
                 raise CampaignInterrupted(campaign, store, checkpoint_path) from exc

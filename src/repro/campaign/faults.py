@@ -357,6 +357,9 @@ class _Harness:
                 )
             self.restarts += 1
             self.log("coordinator restarted from journal")
+            # Every transition already flushed its appends, so closing the
+            # old writer leaves the bytes a crash would.
+            self.coordinator.close_journal()
             self.box["coordinator"] = self._make_coordinator()
 
     def _respawn(self) -> None:
@@ -439,7 +442,8 @@ def run_with_faults(
     needs_journal = any(
         event.kind == "restart-coordinator" for event in schedule.events
     )
-    if journal_path is None and needs_journal:
+    temp_journal = journal_path is None and needs_journal
+    if temp_journal:
         handle = tempfile.NamedTemporaryFile(
             prefix="campaign-fault-journal-", suffix=".json", delete=False
         )
@@ -458,4 +462,13 @@ def run_with_faults(
         work_time_s=work_time_s,
         journal_path=journal_path,
     )
-    return harness.run()
+    try:
+        return harness.run()
+    finally:
+        harness.coordinator.close_journal()
+        if temp_journal:
+            for path in (journal_path, f"{journal_path}.outcomes"):
+                try:
+                    os.unlink(path)
+                except FileNotFoundError:
+                    pass

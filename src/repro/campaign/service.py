@@ -13,9 +13,11 @@ crashes, network partitions and ``kill -9``:
   never loses them.  Requeues are bounded by a
   :class:`~repro.campaign.executor.RetryPolicy` whose capped exponential
   backoff + deterministic jitter sets each requeued scenario's
-  not-before time.  Every state transition is journalled through the
-  same atomic write-temp + ``os.replace`` path the checkpoint machinery
-  uses, so the coordinator can crash and resume mid-campaign (corrupt
+  not-before time.  Every state transition is journalled: each accepted
+  outcome is one O(1) append to a columnar
+  :mod:`~repro.campaign.store` file, and delivery-attempt counts live in
+  a small meta file rewritten atomically (write-temp + ``os.replace``),
+  so the coordinator can crash and resume mid-campaign (corrupt
   journals are quarantined, not fatal).  Results are accepted
   *first-wins* by scenario id: duplicated or late responses (a partition
   healing after its lease was requeued) are acknowledged and dropped,
@@ -137,17 +139,13 @@ class Coordinator:
         deliveries left are re-queued, mirroring the executor's resume
         semantics), so the coordinator survives its own crash or restart.
         A corrupt journal is quarantined with a warning and the campaign
-        restarts from scratch.  The on-disk shape follows
-        ``journal_store``: the legacy ``json`` mode atomically rewrites
-        one JSON blob per transition (O(campaign) each time), while the
-        columnar mode keeps outcomes in an append-only
-        ``<journal_path>.outcomes`` store (O(1) per completion) next to a
-        small atomically rewritten meta file at ``journal_path`` itself.
-    journal_store:
-        Requested journal format, resolved through
-        :func:`repro.campaign.store.negotiate_store` (default ``auto``:
-        columnar when pyarrow is available, the legacy JSON blob
-        otherwise).
+        restarts from scratch.  Outcomes go to an append-only columnar
+        store at ``<journal_path>.outcomes`` (Arrow-encoded when pyarrow
+        is available, JSON lines otherwise; O(1) per completion), next to
+        a small atomically rewritten meta file at ``journal_path`` itself
+        holding the campaign name and delivery attempts.  A monolithic
+        JSON journal written by an older release is still read, and is
+        rewritten in this layout.
     resume:
         Optional result store whose outcomes seed the coordinator (e.g. a
         previous run's ``--output``); applied before the journal.
@@ -163,7 +161,6 @@ class Coordinator:
         journal_path: Optional[str] = None,
         resume: Optional[CampaignResult] = None,
         clock: Callable[[], float] = time.monotonic,
-        journal_store: str = result_store.STORE_AUTO,
     ) -> None:
         if lease_timeout_s <= 0:
             raise ConfigurationError(
@@ -173,9 +170,7 @@ class Coordinator:
         self.retry = retry or DEFAULT_DELIVERY_RETRY
         self.lease_timeout_s = lease_timeout_s
         self.journal_path = journal_path
-        self._journal_encoding = result_store.negotiate_store(journal_store)
         self._journal_writer: Optional[result_store.StoreWriter] = None
-        self._journal_pending: List[ScenarioOutcome] = []
         self._clock = clock
         self._lock = threading.RLock()
         self._scenarios: Dict[str, ScenarioSpec] = {
@@ -223,16 +218,15 @@ class Coordinator:
             for scenario in campaign.scenarios
             if scenario.scenario_id not in self.store.outcomes
         )
-        if (
-            journal_path is not None
-            and self._journal_encoding != result_store.STORE_JSON
-        ):
+        if journal_path is not None:
             # Seed the append-only outcomes store once (atomic rewrite of
             # whatever survived resume + requeue pruning), then every
             # completed scenario is a single O(1) append.
             outcomes_path = self._outcomes_path()
             result_store.save_store(
-                self.store, outcomes_path, self._journal_encoding
+                self.store,
+                outcomes_path,
+                result_store.negotiate_store(result_store.STORE_ARROW),
             )
             self._journal_writer = result_store.StoreWriter.open_append(
                 outcomes_path
@@ -256,6 +250,7 @@ class Coordinator:
                 if store is None:
                     store = CampaignResult(campaign_name=str(data["campaign_name"]))
             else:
+                # Monolithic JSON journal written by an older release.
                 store = CampaignResult.from_dict(data["results"])
             attempts = {str(k): int(v) for k, v in data.get("attempts", {}).items()}
         except FileNotFoundError:
@@ -267,13 +262,13 @@ class Coordinator:
         return store
 
     def _record_outcome(self, outcome: ScenarioOutcome) -> None:
-        """Store an outcome and stage it for the append-only journal."""
+        """Store an outcome and append it to the journal's outcomes store."""
         self.store.add(outcome)
         if self._journal_writer is not None:
-            self._journal_pending.append(outcome)
+            self._journal_writer.append(outcome)
 
     def _write_journal_meta(self) -> None:
-        """Atomically rewrite the small meta file of a columnar journal."""
+        """Atomically rewrite the small meta file of the journal."""
         data = {
             "campaign_name": self.campaign.name,
             "attempts": self._attempts,
@@ -285,45 +280,22 @@ class Coordinator:
         os.replace(temp_path, self.journal_path)
 
     def _journal(self) -> None:
-        """Persist the service state.
+        """Persist the service state after a transition.
 
-        Legacy mode atomically rewrites the whole JSON blob.  Columnar
-        mode appends the outcomes staged since the last transition to the
-        sidecar store (O(1) per completed scenario) and atomically
-        rewrites only the small meta file (campaign name + delivery
-        attempts).
+        Flushes the outcomes appended since the last transition and
+        atomically rewrites the meta file (campaign name + delivery
+        attempts); neither grows with the frames already journalled.
         """
-        if self.journal_path is None:
+        if self._journal_writer is None:
             return
-        if self._journal_writer is not None:
-            for outcome in self._journal_pending:
-                self._journal_writer.append(outcome)
-            self._journal_pending.clear()
-            self._journal_writer.flush()
-            self._write_journal_meta()
-            return
-        data = {
-            "campaign_name": self.campaign.name,
-            "attempts": self._attempts,
-            "results": self.store.to_dict(),
-        }
-        temp_path = f"{self.journal_path}.tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(data))
-        os.replace(temp_path, self.journal_path)
+        self._journal_writer.flush()
+        self._write_journal_meta()
 
     def close_journal(self) -> None:
-        """Flush staged outcomes and close the append-only writer (idempotent).
-
-        Only meaningful for columnar journals; the legacy JSON journal
-        has no long-lived handle.
-        """
+        """Flush and close the journal's append-only writer (idempotent)."""
         with self._lock:
             if self._journal_writer is None:
                 return
-            for outcome in self._journal_pending:
-                self._journal_writer.append(outcome)
-            self._journal_pending.clear()
             self._journal_writer.close()
             self._journal_writer = None
 
@@ -973,6 +945,7 @@ def run_campaign_service(
     finally:
         for thread in threads:
             thread.join(timeout=10.0)
+        coordinator.close_journal()
     if progress is not None:
         for event in coordinator.drain_events():
             progress(event)

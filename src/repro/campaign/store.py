@@ -610,6 +610,7 @@ def save_store(
                 batch = []
         writer.append_records(batch)
         writer.close()
+        os.replace(temp_path, path)
     except BaseException:
         writer.close()
         try:
@@ -617,7 +618,6 @@ def save_store(
         except OSError:
             pass
         raise
-    os.replace(temp_path, path)
 
 
 def load_store(path: str, lazy: bool = False) -> CampaignResult:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import _compat
@@ -30,6 +32,52 @@ def _numba_less_negotiation(monkeypatch):
     bit-identical by construction).
     """
     monkeypatch.setattr(_compat, "HAVE_NUMBA", False)
+
+
+@pytest.fixture
+def open_files_under():
+    """Return a probe listing the paths under a directory this process holds open.
+
+    Reads ``/proc/self/fd``; tests using it skip where that does not exist.
+    """
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+
+    def probe(directory) -> list:
+        opened = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:
+                continue  # the descriptor listdir itself used, now closed
+            if target.startswith(str(directory)):
+                opened.append(target)
+        return opened
+
+    return probe
+
+
+@pytest.fixture
+def retained_store_writers(monkeypatch):
+    """Keep every writer ``StoreWriter.open_append`` returns alive; return them.
+
+    Garbage collection closes a dropped writer's file, which would hide a
+    missing ``close()`` from an open-descriptor check.
+    """
+    from repro.campaign import store as result_store
+
+    writers = []
+    real_open_append = result_store.StoreWriter.open_append.__func__
+
+    def open_append(cls, path):
+        writer = real_open_append(cls, path)
+        writers.append(writer)
+        return writer
+
+    monkeypatch.setattr(
+        result_store.StoreWriter, "open_append", classmethod(open_append)
+    )
+    return writers
 
 
 @pytest.fixture

@@ -7,6 +7,9 @@ run.  These tests drive every fault kind individually, all of them at
 once, and a seeded random sweep, comparing JSON bytes each time.
 """
 
+import os
+import tempfile
+
 import pytest
 
 from repro.campaign import (
@@ -104,6 +107,24 @@ class TestSingleFaultKinds:
         )
         assert report.restarts == 1
         assert report.result.to_json() == serial_store.to_json()
+
+    def test_restarts_close_and_remove_the_temp_journal(
+        self, campaign, serial_store, tmp_path, monkeypatch, open_files_under,
+        retained_store_writers,
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        schedule = FaultSchedule.of(
+            FaultEvent("restart-coordinator", at=1),
+            FaultEvent("restart-coordinator", at=2),
+        )
+        report = run_with_faults(campaign, schedule)
+        assert report.restarts == 2
+        assert len(retained_store_writers) == 3
+        assert report.result.to_json() == serial_store.to_json()
+        # Every coordinator's journal writer is closed and the temporary
+        # journal is gone, sidecar included.
+        assert open_files_under(tmp_path) == []
+        assert os.listdir(tmp_path) == []
 
     def test_all_fault_kinds_together(self, campaign, serial_store):
         schedule = FaultSchedule.of(

@@ -9,6 +9,8 @@ checkpoint), the bit-identity of :func:`run_campaign_service` against a
 serial run, and the ``serve`` / ``work`` CLI subcommands end to end.
 """
 
+import json
+import os
 import socket
 import threading
 import time
@@ -25,10 +27,12 @@ from repro.campaign import (
     LocalClient,
     RetryPolicy,
     ScenarioOutcome,
+    ScenarioSpec,
     WorkerSite,
     run_campaign,
     run_campaign_service,
 )
+from repro.campaign import store as result_store
 from repro.campaign.cli import main as cli_main
 from repro.campaign.service import (
     STATE_DRAINED,
@@ -200,12 +204,14 @@ class TestCoordinatorJournal:
         coordinator, _ = make_coordinator(campaign, journal_path=journal)
         for outcome in list(serial_store)[:2]:
             coordinator.submit("w0", None, outcome.to_dict())
+        coordinator.close_journal()
         # A brand-new coordinator (same journal) carries the work over.
         revived, _ = make_coordinator(campaign, journal_path=journal)
         assert revived.stats["resumed"] == 2
         assert len(revived.store) == 2
         grant = revived.lease("w0", count=len(campaign))
         assert len(grant["leases"]) == len(campaign) - 2
+        revived.close_journal()
 
     def test_corrupt_journal_quarantined(self, campaign, tmp_path):
         journal = tmp_path / "journal.json"
@@ -213,8 +219,88 @@ class TestCoordinatorJournal:
         with pytest.warns(RuntimeWarning, match="quarantined"):
             coordinator, _ = make_coordinator(campaign, journal_path=str(journal))
         assert len(coordinator.store) == 0
-        assert not journal.exists()
-        assert (tmp_path / "journal.json.corrupt").exists()
+        coordinator.close_journal()
+        quarantined = tmp_path / "journal.json.corrupt"
+        assert quarantined.read_text(encoding="utf-8") == "{truncated by a crash"
+        # The journal restarts from scratch: a fresh meta file and an
+        # empty outcomes store.
+        meta = json.loads(journal.read_text(encoding="utf-8"))
+        assert meta["attempts"] == {}
+        assert meta["outcomes"] == "store"
+        sidecar = str(journal) + ".outcomes"
+        assert result_store.is_store_file(sidecar)
+        assert len(CampaignResult.load(sidecar)) == 0
+
+    def test_legacy_blob_journal_resumes_and_is_rewritten(
+        self, campaign, serial_store, tmp_path
+    ):
+        # The monolithic journal layout older releases wrote.
+        journal = tmp_path / "journal.json"
+        carried = CampaignResult(campaign_name=campaign.name)
+        for outcome in list(serial_store)[:2]:
+            carried.add(outcome)
+        attempts = {outcome.scenario_id: 2 for outcome in carried}
+        journal.write_text(
+            json.dumps(
+                {
+                    "campaign_name": campaign.name,
+                    "attempts": attempts,
+                    "results": carried.to_dict(),
+                }
+            ),
+            encoding="utf-8",
+        )
+        coordinator, _ = make_coordinator(campaign, journal_path=str(journal))
+        assert coordinator.stats["resumed"] == 2
+        assert coordinator.store.to_dict() == carried.to_dict()
+        grant = coordinator.lease("w0", count=len(campaign))
+        assert len(grant["leases"]) == len(campaign) - 2
+        coordinator.close_journal()
+        # Rewritten columnar: the meta file keeps the carried attempt
+        # counts, the sidecar store the carried outcomes.
+        meta = json.loads(journal.read_text(encoding="utf-8"))
+        assert meta["outcomes"] == "store"
+        assert {sid: meta["attempts"][sid] for sid in attempts} == attempts
+        sidecar = CampaignResult.load(str(journal) + ".outcomes")
+        assert sidecar.to_dict() == carried.to_dict()
+
+    def test_journal_traffic_is_constant_per_transition(self, tmp_path):
+        def journal_sizes(frames):
+            spec = CampaignSpec.from_grid(
+                "journal-size",
+                applications=[FactorySpec.of("mpeg4", num_frames=frames)],
+                governors={
+                    "ondemand": FactorySpec.of("ondemand"),
+                    "oracle": FactorySpec.of("oracle"),
+                },
+                seeds=(1,),
+            )
+            outcomes = list(run_campaign(spec))
+            journal = str(tmp_path / f"journal-{frames}.json")
+            sidecar = journal + ".outcomes"
+            coordinator, _ = make_coordinator(spec, journal_path=journal)
+            grant = coordinator.lease("w0", count=len(spec))
+            lease_ids = {
+                ScenarioSpec.from_dict(lease["scenario"]).scenario_id: lease["lease_id"]
+                for lease in grant["leases"]
+            }
+            meta_sizes = []
+            for accepted, outcome in enumerate(outcomes, start=1):
+                coordinator.submit(
+                    "w0", lease_ids[outcome.scenario_id], outcome.to_dict()
+                )
+                records = list(result_store.StoreReader(sidecar).iter_records())
+                assert len(records) == accepted
+                meta_sizes.append(os.path.getsize(journal))
+            # A duplicate submit is acknowledged and appends nothing.
+            before = os.path.getsize(sidecar)
+            ack = coordinator.submit("w0", None, outcomes[0].to_dict())
+            assert ack["duplicate"]
+            assert os.path.getsize(sidecar) == before
+            coordinator.close_journal()
+            return meta_sizes
+
+        assert journal_sizes(10) == journal_sizes(300)
 
     def test_resumed_failure_with_budget_is_rerun(self, campaign):
         seed = CampaignResult(campaign_name=campaign.name)
@@ -243,6 +329,18 @@ class TestInProcessService:
     def test_worker_count_validated(self, campaign):
         with pytest.raises(ConfigurationError):
             run_campaign_service(campaign, num_workers=0)
+
+    def test_journalled_run_closes_its_journal(
+        self, campaign, serial_store, tmp_path, open_files_under,
+        retained_store_writers,
+    ):
+        journal = str(tmp_path / "journal.json")
+        store = run_campaign_service(campaign, journal_path=journal)
+        assert store.to_json() == serial_store.to_json()
+        assert len(retained_store_writers) == 1
+        assert open_files_under(tmp_path) == []
+        sidecar = CampaignResult.load(journal + ".outcomes")
+        assert len(sidecar) == len(campaign)
 
 
 class _SubmitLostClient:

@@ -19,6 +19,7 @@ import os
 import pytest
 
 from repro.campaign import (
+    CampaignInterrupted,
     CampaignResult,
     CampaignSpec,
     Coordinator,
@@ -440,13 +441,40 @@ class TestExecutorIntegration:
         assert finished.to_dict() == reference.to_dict()
 
 
+    def test_interrupt_during_columnar_seed_is_campaign_interrupted(
+        self, tmp_path, campaign, full_store, monkeypatch
+    ):
+        path = tmp_path / "ckpt.store"
+        checkpoint = str(path)
+        head = CampaignResult(campaign_name=campaign.name)
+        head.add(next(iter(full_store)))
+        head.save(checkpoint, store="arrow")
+        before = path.read_bytes()
+        real_replace = os.replace
+
+        def interrupted_replace(src, dst):
+            # Ctrl-C lands inside the seed's publish.
+            if str(dst) == checkpoint:
+                raise KeyboardInterrupt
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(result_store.os, "replace", interrupted_replace)
+        with pytest.raises(CampaignInterrupted) as info:
+            run_campaign(
+                campaign, resume=head, checkpoint_path=checkpoint, store="arrow"
+            )
+        monkeypatch.undo()
+        assert len(info.value.partial) == 1
+        # The previous checkpoint survives untouched and no temp is left.
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ckpt.store"]
+
+
 class TestServiceIntegration:
     def test_columnar_journal_resumes(self, tmp_path, campaign):
         serial = run_campaign(campaign, store="json")
         journal = str(tmp_path / "journal.json")
-        coordinator = Coordinator(
-            campaign, journal_path=journal, journal_store="arrow"
-        )
+        coordinator = Coordinator(campaign, journal_path=journal)
         for outcome in list(serial)[:2]:
             coordinator.submit("w0", None, outcome.to_dict())
         coordinator.close_journal()
@@ -455,9 +483,7 @@ class TestServiceIntegration:
         with open(journal, encoding="utf-8") as handle:
             assert json.load(handle)["outcomes"] == "store"
         assert result_store.is_store_file(journal + ".outcomes")
-        revived = Coordinator(
-            campaign, journal_path=journal, journal_store="arrow"
-        )
+        revived = Coordinator(campaign, journal_path=journal)
         assert revived.stats["resumed"] == 2
         assert len(revived.store) == 2
         revived.close_journal()
@@ -465,9 +491,7 @@ class TestServiceIntegration:
     def test_columnar_journal_drains_to_serial_result(self, tmp_path, campaign):
         serial = run_campaign(campaign, store="json")
         journal = str(tmp_path / "journal.json")
-        coordinator = Coordinator(
-            campaign, journal_path=journal, journal_store="arrow"
-        )
+        coordinator = Coordinator(campaign, journal_path=journal)
         for outcome in serial:
             coordinator.submit("w0", None, outcome.to_dict())
         assert coordinator.finished
@@ -590,9 +614,7 @@ class TestCli:
         journal = str(tmp_path / "journal.json")
         campaign = CampaignSpec.load(spec_path)
         serial = run_campaign(campaign, store="json")
-        coordinator = Coordinator(
-            campaign, journal_path=journal, journal_store="arrow"
-        )
+        coordinator = Coordinator(campaign, journal_path=journal)
         for outcome in serial:
             coordinator.submit("w0", None, outcome.to_dict())
         coordinator.close_journal()
