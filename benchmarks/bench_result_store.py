@@ -19,11 +19,8 @@ physics):
   re-reduces every frame; the columnar store loads lazily and answers
   from the cached per-record metrics without touching frames.
 
-The ``result_store_io`` section always carries the ``json`` and
-``jsonl`` rows (pure stdlib).  The Arrow encoding lives in its own
-``result_store_arrow_io`` section, recorded empty with a
-``result_store_arrow_io_note`` on pyarrow-less runners — exactly the
-optional-dependency pattern of the ``jit_closed_loop`` section.
+The ``result_store_io`` section carries the ``json`` and ``jsonl`` rows
+(pure stdlib).
 
 Run as a script to (re)generate the tracked numbers::
 
@@ -46,7 +43,7 @@ import os
 import random
 import tempfile
 import time
-from typing import Dict, List
+from typing import Dict
 
 from repro.campaign import store as result_store
 from repro.campaign.results import CampaignResult, ScenarioOutcome
@@ -65,12 +62,6 @@ FRAMES = 40
 #: O(campaign) per event, so a bounded event count keeps the benchmark
 #: honest *and* finite; the columnar flavors append per event.
 CHECKPOINT_EVENTS = 100
-
-#: Note recorded in place of ``result_store_arrow_io`` rows without pyarrow.
-ARROW_SKIP_NOTE = (
-    "skipped: Arrow encoding unavailable (pyarrow not importable — install "
-    "the 'arrow' extra — or REPRO_DISABLE_ARROW set)"
-)
 
 
 def synthetic_store(num_scenarios: int, seed: int = 7) -> CampaignResult:
@@ -116,9 +107,9 @@ def synthetic_store(num_scenarios: int, seed: int = 7) -> CampaignResult:
 
 def _write_store(store: CampaignResult, path: str, flavor: str) -> None:
     if flavor == "json":
-        store.save(path, store="json")
+        store.save(path)
     else:
-        result_store.save_store(store, path, flavor)
+        result_store.save_store(store, path)
 
 
 def _bench_write(store: CampaignResult, path: str, flavor: str) -> float:
@@ -146,17 +137,16 @@ def _bench_checkpoint(store: CampaignResult, path: str, flavor: str) -> float:
             partial.add(outcome)
             if position % stride == 0:
                 started = time.perf_counter()
-                partial.save(path, store="json")
+                partial.save(path)
                 elapsed += time.perf_counter() - started
         return elapsed
-    writer = result_store.StoreWriter.create(path, store.campaign_name, flavor)
+    writer = result_store.StoreWriter.create(path, store.campaign_name)
     elapsed = 0.0
     try:
         for position, outcome in enumerate(outcomes):
             if position % stride == 0:
                 started = time.perf_counter()
-                writer.append(outcome)
-                writer.flush()
+                writer.append(outcome)  # one write + flush
                 elapsed += time.perf_counter() - started
             else:
                 writer.append(outcome)
@@ -210,14 +200,9 @@ def run_suite(num_scenarios: int, smoke: bool) -> Dict[str, object]:
     with tempfile.TemporaryDirectory(prefix="bench-result-store-") as workdir:
         io_rows = [
             bench_flavor(store, flavor, workdir)
-            for flavor in ("json", result_store.ENCODING_JSONL)
+            for flavor in ("json", result_store.ENCODING)
         ]
-        arrow_rows: List[Dict[str, object]] = []
-        if result_store.arrow_available():
-            arrow_rows.append(
-                bench_flavor(store, result_store.ENCODING_ARROW, workdir)
-            )
-    by_flavor = {row["flavor"]: row for row in io_rows + arrow_rows}
+    by_flavor = {row["flavor"]: row for row in io_rows}
     summary = {
         "checkpoint_speedup_jsonl_vs_json": (
             by_flavor["jsonl"]["checkpoint_events_per_s"]
@@ -228,18 +213,12 @@ def run_suite(num_scenarios: int, smoke: bool) -> Dict[str, object]:
             / by_flavor["json"]["summary_queries_per_s"]
         ),
     }
-    results: Dict[str, object] = {
+    return {
         "result_store_mode": "smoke" if smoke else "full",
         "result_store_scenarios": num_scenarios,
         "result_store_io": io_rows,
-        # Always a list (the regression gate indexes sections by rows); the
-        # sibling note marks a deliberate skip, never silent truncation.
-        "result_store_arrow_io": arrow_rows,
         "result_store_summary": summary,
     }
-    if not arrow_rows:
-        results["result_store_arrow_io_note"] = ARROW_SKIP_NOTE
-    return results
 
 
 # -- pytest entry point (explicit: `pytest benchmarks/bench_result_store.py`) --
@@ -247,7 +226,7 @@ def test_bench_result_store_checkpoint_and_parity():
     results = run_suite(SMOKE_SCENARIOS, smoke=True)
     rows = {row["flavor"]: row for row in results["result_store_io"]}
     print()
-    for row in results["result_store_io"] + results["result_store_arrow_io"]:
+    for row in results["result_store_io"]:
         print(
             f"{row['scenario']:28s} write {row['write_outcomes_per_s']:8.0f}/s  "
             f"ckpt {row['checkpoint_events_per_s']:8.0f}/s  "
@@ -311,14 +290,12 @@ def main() -> None:
         handle.write("\n")
 
     print(f"wrote {target}")
-    for row in results["result_store_io"] + results["result_store_arrow_io"]:
+    for row in results["result_store_io"]:
         print(
             f"  {row['scenario']:28s} write {row['write_outcomes_per_s']:8.0f}/s  "
             f"ckpt {row['checkpoint_events_per_s']:8.0f}/s  "
             f"summary {row['summary_queries_per_s']:8.0f}/s"
         )
-    if not results["result_store_arrow_io"]:
-        print(f"  result_store_arrow_io: {results['result_store_arrow_io_note']}")
     summary = results["result_store_summary"]
     print(
         f"  checkpoint speedup (jsonl vs json): "

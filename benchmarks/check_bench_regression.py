@@ -47,19 +47,15 @@ GATED_METRICS: Tuple[Tuple[str, str], ...] = (
     ("result_store_io", "write_outcomes_per_s"),
     ("result_store_io", "checkpoint_events_per_s"),
     ("result_store_io", "summary_queries_per_s"),
-    ("result_store_arrow_io", "write_outcomes_per_s"),
-    ("result_store_arrow_io", "checkpoint_events_per_s"),
-    ("result_store_arrow_io", "summary_queries_per_s"),
 )
 
 
 def _section_skipped(results: Dict, section: str) -> bool:
     """A section deliberately recorded empty with a ``<section>_note``.
 
-    The jit section is skipped-with-a-note on runners without numba, the
-    result-store arrow section on runners without pyarrow; a noted skip
-    in the *current* results must not count baseline scenarios as
-    missing (an optional backend's absence is not a regression).
+    The jit section is skipped-with-a-note on runners without numba; a
+    noted skip in the *current* results must not count baseline scenarios
+    as missing (an optional backend's absence is not a regression).
     """
     return not results.get(section) and bool(results.get(f"{section}_note"))
 

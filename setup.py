@@ -26,9 +26,6 @@ setup(
         # Optional compiled closed-loop kernels (repro.sim.jitpath).  Without
         # numba the backend simply drops out of engine negotiation.
         "jit": ["numba>=0.59"],
-        # Optional columnar result store (repro.campaign.store).  Without
-        # pyarrow the store negotiates down to its pure-JSON encodings.
-        "arrow": ["pyarrow>=14"],
     },
     entry_points={
         "console_scripts": [

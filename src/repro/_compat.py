@@ -12,11 +12,6 @@ monkeypatching) consult instead of importing numba themselves.  The
 ``REPRO_DISABLE_JIT`` environment variable is a kill-switch read *per call*
 by :func:`jit_disabled`, so an operator can turn the compiled path off for
 a single process without reinstalling anything.
-
-``HAVE_PYARROW`` / :func:`arrow_disabled` repeat the same pattern for the
-columnar campaign result store (:mod:`repro.campaign.store`): pyarrow is
-an optional ``[arrow]`` extra, and ``REPRO_DISABLE_ARROW`` turns the
-Arrow encoding off without reinstalling.
 """
 
 from __future__ import annotations
@@ -47,26 +42,4 @@ def jit_disabled() -> bool:
     compiled path.
     """
     value = os.environ.get("REPRO_DISABLE_JIT", "")
-    return value not in ("", "0")
-
-
-#: True when pyarrow is importable.  Same cheap find_spec probe as
-#: ``HAVE_NUMBA``: importing pyarrow loads native extension modules, which
-#: every campaign process would pay even when it only ever writes JSON.
-#: The store module imports pyarrow lazily, only once an Arrow-encoded
-#: file is actually written or read.
-try:
-    HAVE_PYARROW: bool = importlib.util.find_spec("pyarrow") is not None
-except (ImportError, ValueError):  # pragma: no cover - broken interpreter paths
-    HAVE_PYARROW = False
-
-
-def arrow_disabled() -> bool:
-    """True when the ``REPRO_DISABLE_ARROW`` kill-switch is set.
-
-    Same contract as :func:`jit_disabled`: read per call so tests and
-    operators can toggle it mid-process; any non-empty value other than
-    ``0`` keeps the result store on the pure-JSON encodings.
-    """
-    value = os.environ.get("REPRO_DISABLE_ARROW", "")
     return value not in ("", "0")

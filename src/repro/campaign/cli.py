@@ -4,10 +4,9 @@ Usage::
 
     repro-campaign spec.json --backend process --workers 4 --output results.json
     repro-campaign spec.json --resume results.json --output results.json
-    repro-campaign spec.json --checkpoint ckpt.json --checkpoint-every 5 --retries 2
+    repro-campaign spec.json --checkpoint ckpt.store --retries 2
     repro-campaign spec.json --shard 0/2 --output shard0.json
     repro-campaign spec.json --engine scalar --output reference.json
-    repro-campaign spec.json --store arrow --checkpoint ckpt.bin --output results.bin
     repro-campaign merge shard0.json shard1.json --spec spec.json --output merged.json
     repro-campaign serve spec.json --port 8765 --journal journal.json --output results.json
     repro-campaign work --coordinator http://127.0.0.1:8765
@@ -16,21 +15,18 @@ Usage::
 The spec file is a :class:`~repro.campaign.spec.CampaignSpec` JSON document
 (``CampaignSpec.save`` writes one).  With ``--resume``, scenarios already
 ``done`` in the given results file are skipped (``failed`` ones re-run);
-``--checkpoint`` additionally rewrites the store atomically every
-``--checkpoint-every`` completions — and on Ctrl-C — so a crashed or killed
-campaign resumes from its last checkpoint instead of starting over (an
-existing checkpoint file is picked up automatically; a truncated or
-corrupt one is quarantined with a warning instead of aborting the run).
-``--shard I/N`` runs the deterministic 1/N slice of the campaign; the
-``merge`` subcommand streams shard result files back into the store an
-unsharded run would produce — never holding more than one shard's batch
-in memory (pass ``--spec`` to verify completeness and restore campaign
-order).  ``--store`` picks the on-disk format (see
-:mod:`repro.campaign.store`): ``json`` is the legacy monolithic document,
-``arrow`` the columnar append-only store, ``auto`` (the default) uses
-columnar when pyarrow is installed and json otherwise.  With a columnar
-store, ``--checkpoint`` appends each outcome in O(1) instead of rewriting
-the whole store every ``--checkpoint-every`` completions.
+``--checkpoint`` additionally persists the store as the campaign runs —
+an append-only columnar store (:mod:`repro.campaign.store`) to which each
+completed scenario is appended in O(1) — so a crashed, killed or
+Ctrl-C'd campaign resumes from its last completion instead of starting
+over (an existing checkpoint file is picked up automatically; a truncated
+one has its valid prefix salvaged and is quarantined with a warning
+instead of aborting the run).  ``--output`` always writes the monolithic
+JSON blob.  ``--shard I/N`` runs the deterministic 1/N slice of the
+campaign; the ``merge`` subcommand streams shard result files (blobs or
+checkpoints) back into the blob an unsharded run would produce — never
+holding more than one shard's batch in memory (pass ``--spec`` to verify
+completeness and restore campaign order).
 
 ``serve`` starts the fault-tolerant coordinator of
 :mod:`repro.campaign.service`: scenarios are handed to ``work`` sites as
@@ -147,15 +143,8 @@ def _run_main(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--checkpoint",
         default=None,
-        help="atomically rewrite the (partial) store to this file as scenarios "
-        "complete; an existing file is resumed from automatically",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=10,
-        metavar="K",
-        help="completions between checkpoint writes (default 10)",
+        help="append each completed scenario to this columnar store file "
+        "(O(1) per completion); an existing file is resumed from automatically",
     )
     parser.add_argument(
         "--retries",
@@ -206,15 +195,6 @@ def _run_main(argv: Sequence[str]) -> int:
         "(default 16; 0 disables the batch planner)",
     )
     parser.add_argument(
-        "--store",
-        choices=result_store.STORE_CHOICES,
-        default=result_store.STORE_AUTO,
-        help="result/checkpoint file format: 'json' is the legacy "
-        "monolithic blob, 'arrow' the append-only columnar store "
-        "(jsonl-encoded when pyarrow is missing), 'auto' negotiates "
-        "arrow when available and falls back to json (default)",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list registered factories and exit"
     )
     parser.add_argument(
@@ -260,7 +240,6 @@ def _run_main(argv: Sequence[str]) -> int:
                 timeout_s=arguments.timeout,
             ),
             batch_size=arguments.batch_size,
-            store=arguments.store,
         )
     except ConfigurationError as exc:
         print(f"repro-campaign: {exc}", file=sys.stderr)
@@ -277,7 +256,6 @@ def _run_main(argv: Sequence[str]) -> int:
             resume=resume,
             progress=progress,
             checkpoint_path=arguments.checkpoint,
-            checkpoint_every=arguments.checkpoint_every,
         )
     except CampaignInterrupted as interrupted:
         # Never lose completed work on Ctrl-C: the executor already saved
@@ -285,7 +263,7 @@ def _run_main(argv: Sequence[str]) -> int:
         # partial store to --output so the run can be resumed from it.
         print(f"repro-campaign: {interrupted}", file=sys.stderr)
         if interrupted.checkpoint_path is None and arguments.output:
-            interrupted.partial.save(arguments.output, store=arguments.store)
+            interrupted.partial.save(arguments.output)
             print(
                 f"repro-campaign: partial results saved to {arguments.output}",
                 file=sys.stderr,
@@ -299,7 +277,7 @@ def _run_main(argv: Sequence[str]) -> int:
     # Persist before printing: a broken stdout pipe (e.g. `| head`) must not
     # lose the results of a long campaign.
     if arguments.output:
-        store.save(arguments.output, store=arguments.store)
+        store.save(arguments.output)
     # The table cache lives per process: only the serial backend's counters
     # describe this run (process-pool workers each kept their own).
     cache_stats = table_cache_stats() if arguments.backend == "serial" else None
@@ -317,10 +295,12 @@ def _merge_main(argv: Sequence[str]) -> int:
         "(conflict = error); never holds more than one shard in memory.",
     )
     parser.add_argument(
-        "stores", nargs="+", help="shard result files to merge (either format)"
+        "stores",
+        nargs="+",
+        help="shard result files to merge (JSON blobs or columnar checkpoints)",
     )
     parser.add_argument(
-        "--output", required=True, help="write the merged store to this file"
+        "--output", required=True, help="write the merged results JSON to this file"
     )
     parser.add_argument(
         "--spec",
@@ -328,12 +308,6 @@ def _merge_main(argv: Sequence[str]) -> int:
         help="campaign spec JSON; when given, the merged store is verified "
         "complete and re-ordered to campaign order (bit-identical to an "
         "unsharded run)",
-    )
-    parser.add_argument(
-        "--store",
-        choices=result_store.STORE_CHOICES,
-        default=result_store.STORE_AUTO,
-        help="output format (input formats are auto-detected per shard)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress the merged-store summary"
@@ -346,15 +320,12 @@ def _merge_main(argv: Sequence[str]) -> int:
             arguments.stores,
             arguments.output,
             spec=campaign,
-            store=arguments.store,
         )
     except (ReproError,) + LOAD_ERRORS as exc:
         print(f"repro-campaign merge: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    # Lazy reload for the summary + exit code: columnar outputs answer
-    # from cached metrics without touching any frames.
-    merged = CampaignResult.load(arguments.output, lazy=True)
+    merged = CampaignResult.load(arguments.output)
     if not arguments.quiet:
         print(format_campaign_summary(merged))
     print(
@@ -428,14 +399,6 @@ def _serve_main(argv: Sequence[str]) -> int:
         "(default 0 = only at the end)",
     )
     parser.add_argument(
-        "--store",
-        choices=result_store.STORE_CHOICES,
-        default=result_store.STORE_AUTO,
-        help="format for the --output results: json (legacy monolithic), "
-        "arrow (columnar, needs pyarrow), or auto (columnar when available); "
-        "the --journal is always columnar",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress per-transition progress lines"
     )
     arguments = parser.parse_args(argv)
@@ -503,7 +466,7 @@ def _serve_main(argv: Sequence[str]) -> int:
 
     store = coordinator.result()
     if arguments.output:
-        store.save(arguments.output, store=arguments.store)
+        store.save(arguments.output)
     print(format_campaign_summary(store))
     if arguments.output:
         print(f"results written to {arguments.output}")

@@ -712,15 +712,12 @@ class CampaignExecutor:
         max_workers: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         batch_size: int = 0,
-        store: str = result_store.STORE_AUTO,
     ) -> None:
         if batch_size < 0:
             raise ConfigurationError(f"batch_size must be >= 0, got {batch_size}")
         self.backend = make_backend(backend, max_workers)
         self.retry = retry or RetryPolicy()
         self.batch_size = batch_size
-        result_store.negotiate_store(store)  # reject unknown names up front
-        self.store_format = store
 
     def run(
         self,
@@ -728,7 +725,6 @@ class CampaignExecutor:
         resume: Optional[CampaignResult] = None,
         progress: Optional[ProgressCallback] = None,
         checkpoint_path: Optional[str] = None,
-        checkpoint_every: int = 10,
     ) -> CampaignResult:
         """Execute every scenario of ``campaign`` still pending in ``resume``.
 
@@ -745,17 +741,17 @@ class CampaignExecutor:
             with ``(label, completed_count, total_pending)``.
         checkpoint_path:
             When given, completed work is persisted to this path as the
-            campaign runs.  With the legacy ``json`` store the whole file
-            is atomically rewritten every ``checkpoint_every``
-            completions; with the columnar store each outcome is
-            *appended* as it completes (O(1) per scenario, never
-            O(campaign)) and ``checkpoint_every`` only sets the flush
-            cadence.  Either way the file is written once more on
-            ``KeyboardInterrupt`` (which is re-raised as
-            :class:`CampaignInterrupted` carrying the partial store), and
-            a final time with the completed, campaign-ordered store.
-        checkpoint_every:
-            Completions between checkpoint writes/flushes (>= 1).
+            campaign runs, as a columnar store
+            (:mod:`repro.campaign.store`): seeded atomically with the
+            resume state before the first scenario runs, then each outcome
+            is *appended and flushed* as it completes (O(1) per scenario,
+            never O(campaign)), so whatever stops the run — Ctrl-C (which
+            is re-raised as :class:`CampaignInterrupted` carrying the
+            partial store), a broken worker pool, a crashing progress
+            callback — every completion is already on disk.  Finally the
+            file is atomically rewritten once in campaign order; it loads
+            to the same :meth:`CampaignResult.to_dict` as the returned
+            store.
 
         Returns
         -------
@@ -764,25 +760,17 @@ class CampaignExecutor:
             campaign's scenario order — bit-identical across backends and
             across interrupted-then-resumed runs.
         """
-        if checkpoint_every < 1:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
         store = CampaignResult(campaign_name=campaign.name)
         if resume is not None:
             for outcome in resume:
                 store.add(outcome)
         pending: List[ScenarioSpec] = store.pending(campaign)
         units = plan_batches(pending, self.batch_size)
-        resolved = result_store.negotiate_store(self.store_format)
         writer: Optional[result_store.StoreWriter] = None
         completed = 0
         try:
-            if checkpoint_path is not None and resolved != result_store.STORE_JSON:
-                # Seed the columnar checkpoint once (atomic rewrite of the
-                # resume state), then append each completion in O(1).
-                result_store.save_store(store, checkpoint_path, resolved)
-                writer = result_store.StoreWriter.open_append(checkpoint_path)
+            if checkpoint_path is not None:
+                writer = result_store.seed_store(store, checkpoint_path)
             for _, outcome in self.backend.run_units(units, self.retry):
                 store.add(outcome)
                 if writer is not None:
@@ -790,35 +778,15 @@ class CampaignExecutor:
                 completed += 1
                 if progress is not None:
                     progress(outcome.label, completed, len(pending))
-                if checkpoint_path is not None and completed % checkpoint_every == 0:
-                    if writer is not None:
-                        writer.flush()
-                    else:
-                        store.save(checkpoint_path)
-        except BaseException as exc:
-            # Emergency checkpoint: whatever killed the run — Ctrl-C, a
-            # broken worker pool, a crashing progress callback — the work
-            # completed since the last periodic write must survive.  The
-            # columnar writer already holds every completion; closing it
-            # flushes the tail appends to disk.  A columnar run stopped
-            # before its writer opened completed nothing, and the atomic
-            # seed left either the previous checkpoint or the resume state.
-            if checkpoint_path is not None:
-                if writer is not None:
-                    writer.close()
-                    writer = None
-                elif resolved == result_store.STORE_JSON:
-                    store.save(checkpoint_path)
-            if isinstance(exc, KeyboardInterrupt):
-                raise CampaignInterrupted(campaign, store, checkpoint_path) from exc
-            raise
-        if writer is not None:
-            writer.close()
-        ordered = store.ordered_for(campaign)
-        if checkpoint_path is not None:
-            # Final atomic rewrite in campaign order (both formats), so
-            # the surviving checkpoint equals --output bit for bit.
-            ordered.save(checkpoint_path, store=self.store_format)
+            ordered = store.ordered_for(campaign)
+            if writer is not None:
+                writer.close()
+                result_store.save_store(ordered, checkpoint_path)
+        except KeyboardInterrupt as exc:
+            raise CampaignInterrupted(campaign, store, checkpoint_path) from exc
+        finally:
+            if writer is not None:
+                writer.close()
         return ordered
 
 
@@ -829,9 +797,7 @@ def run_campaign(
     resume: Optional[CampaignResult] = None,
     retry: Optional[RetryPolicy] = None,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 10,
     batch_size: int = 0,
-    store: str = result_store.STORE_AUTO,
 ) -> CampaignResult:
     """One-call convenience wrapper around :class:`CampaignExecutor`."""
     return CampaignExecutor(
@@ -839,10 +805,4 @@ def run_campaign(
         max_workers=max_workers,
         retry=retry,
         batch_size=batch_size,
-        store=store,
-    ).run(
-        campaign,
-        resume=resume,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-    )
+    ).run(campaign, resume=resume, checkpoint_path=checkpoint_path)

@@ -7,11 +7,13 @@ result, ``"failed"`` for one whose execution raised (the error message and
 traceback text are captured in the outcome instead of killing the
 campaign) — plus the number of attempts the executor spent on it.
 
-The store round-trips through JSON so long campaigns can checkpoint to
-disk and *resume*: the executor skips any scenario whose stored outcome is
-``done`` and re-runs the ``failed`` ones.  :meth:`CampaignResult.save` is
-atomic (write-temp + ``os.replace``), so a crash mid-checkpoint can never
-truncate a previously good store.  Disjoint stores of the same campaign —
+The store round-trips through disk so long campaigns can checkpoint and
+*resume*: the executor skips any scenario whose stored outcome is
+``done`` and re-runs the ``failed`` ones.  :meth:`CampaignResult.save`
+writes the final JSON blob atomically (write-temp + ``os.replace``), so a
+crash mid-save can never truncate a previously good file; checkpoints are
+the append-only columnar store of :mod:`repro.campaign.store`, which
+:meth:`CampaignResult.load` reads too.  Disjoint stores of the same campaign —
 e.g. the per-shard result files of a :meth:`CampaignSpec.shard` split —
 recombine with :meth:`CampaignResult.merge`.
 
@@ -395,23 +397,15 @@ class CampaignResult:
     def from_json(cls, text: str) -> "CampaignResult":
         return cls.from_dict(json.loads(text))
 
-    def save(self, path: str, store: str = "json") -> None:
-        """Atomically write the store (write-temp + ``os.replace``).
+    def save(self, path: str) -> None:
+        """Atomically write the store as one JSON blob (write-temp + ``os.replace``).
 
-        ``store`` picks the on-disk format through
-        :func:`repro.campaign.store.negotiate_store`: the default
-        ``"json"`` keeps the legacy monolithic blob byte-identical to
-        every earlier release; ``"arrow"`` (or ``"auto"`` on an install
-        with pyarrow) writes the columnar store instead.  Whatever the
-        format, the rename guarantees a reader (or a crash) never sees a
-        half-written store.
+        This is the final-output format (``--output``), byte-identical to
+        every earlier release; checkpoints and journals are the
+        append-only columnar store of :mod:`repro.campaign.store`.  The
+        rename guarantees a reader (or a crash) never sees a half-written
+        file.
         """
-        from repro.campaign import store as result_store
-
-        resolved = result_store.negotiate_store(store)
-        if resolved != result_store.STORE_JSON:
-            result_store.save_store(self, path, resolved)
-            return
         temp_path = f"{path}.tmp"
         with open(temp_path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
@@ -419,7 +413,7 @@ class CampaignResult:
 
     @classmethod
     def load(cls, path: str, lazy: bool = False) -> "CampaignResult":
-        """Load a result store of either format (auto-detected by content).
+        """Load a JSON blob or a columnar store (auto-detected by content).
 
         ``lazy`` applies to columnar store files: outcomes come back with
         disk-backed deferred frame columns and their cached metrics, so a
@@ -447,10 +441,12 @@ class CampaignResult:
         of dying on a ``JSONDecodeError``.  Completed work checkpointed
         *before* the corruption was introduced is only lost in that rare
         quarantine case; the atomic save path makes it rarer still.
-        Columnar checkpoints do one better: records are independent, so
-        the valid prefix of a torn file is salvaged before the file is
-        quarantined (see
-        :func:`repro.campaign.store.load_store_checkpoint`).
+        Columnar checkpoints (what the executor writes) do one better:
+        records are independent, so the valid prefix of a torn file is
+        salvaged before the file is quarantined (see
+        :func:`repro.campaign.store.load_store_checkpoint`).  Store files
+        an older release wrote in its Arrow encoding raise
+        :class:`~repro.errors.ConfigurationError` and are left untouched.
         """
         from repro.campaign import store as result_store
 

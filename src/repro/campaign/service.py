@@ -140,9 +140,8 @@ class Coordinator:
         semantics), so the coordinator survives its own crash or restart.
         A corrupt journal is quarantined with a warning and the campaign
         restarts from scratch.  Outcomes go to an append-only columnar
-        store at ``<journal_path>.outcomes`` (Arrow-encoded when pyarrow
-        is available, JSON lines otherwise; O(1) per completion), next to
-        a small atomically rewritten meta file at ``journal_path`` itself
+        store at ``<journal_path>.outcomes`` (O(1) per completion), next
+        to a small atomically rewritten meta file at ``journal_path`` itself
         holding the campaign name and delivery attempts.  A monolithic
         JSON journal written by an older release is still read, and is
         rewritten in this layout.
@@ -222,14 +221,8 @@ class Coordinator:
             # Seed the append-only outcomes store once (atomic rewrite of
             # whatever survived resume + requeue pruning), then every
             # completed scenario is a single O(1) append.
-            outcomes_path = self._outcomes_path()
-            result_store.save_store(
-                self.store,
-                outcomes_path,
-                result_store.negotiate_store(result_store.STORE_ARROW),
-            )
-            self._journal_writer = result_store.StoreWriter.open_append(
-                outcomes_path
+            self._journal_writer = result_store.seed_store(
+                self.store, self._outcomes_path()
             )
             self._write_journal_meta()
 
@@ -282,14 +275,12 @@ class Coordinator:
     def _journal(self) -> None:
         """Persist the service state after a transition.
 
-        Flushes the outcomes appended since the last transition and
+        Outcomes are already on disk (each append flushes); this
         atomically rewrites the meta file (campaign name + delivery
-        attempts); neither grows with the frames already journalled.
+        attempts), which does not grow with the frames journalled.
         """
-        if self._journal_writer is None:
-            return
-        self._journal_writer.flush()
-        self._write_journal_meta()
+        if self._journal_writer is not None:
+            self._write_journal_meta()
 
     def close_journal(self) -> None:
         """Flush and close the journal's append-only writer (idempotent)."""

@@ -3,62 +3,45 @@
 This module extends the in-memory :class:`~repro.sim.epoch.FrameColumns`
 design to persistence.  A store file is::
 
-    #repro-campaign-store {"campaign_name": ..., "encoding": ..., "version": 1}\n
-    <one outcome record per line or per Arrow IPC segment>
+    #repro-campaign-store {"campaign_name": ..., "encoding": "jsonl", "version": 1}\n
+    <one JSON outcome record per line>
 
-Two encodings share that framing:
+Frames are stored *columnar* inside each record (``result.frames`` maps
+each :data:`~repro.sim.epoch.FRAME_COLUMN_NAMES` name to its column), so
+a record never materialises per-frame dicts.  Pure stdlib.
 
-``jsonl``
-    One JSON object per line.  Frames are stored *columnar* inside the
-    record (``result.frames`` maps each
-    :data:`~repro.sim.epoch.FRAME_COLUMN_NAMES` name to its column), so a
-    record never materialises per-frame dicts.  Pure stdlib — this is the
-    fallback encoding on pyarrow-less installs, mirroring the
-    numpy-optional pattern in :mod:`repro._compat`.
+It is the one checkpoint and journal format: the executor's
+``--checkpoint`` and the distributed service's journal append each
+:class:`ScenarioOutcome` as it completes (O(1) per completion, one write
+and one flush), instead of rewriting the whole campaign.  Final results
+(``--output``) stay the monolithic JSON blob of
+:meth:`CampaignResult.save`; :meth:`CampaignResult.load` tells the two
+apart by the magic header, so readers never need to be told what they are
+looking at.  Store files an older release wrote in its Arrow encoding are
+rejected with a :class:`~repro.errors.ConfigurationError`, never
+quarantined.
 
-``arrow``
-    Repeated ``[8-byte little-endian length][self-contained Arrow IPC
-    stream]`` segments.  Each segment holds one record batch with a
-    ``meta`` JSON string column (everything except frames) plus one
-    list-typed Arrow column per frame field.  Requires the ``[arrow]``
-    extra (``pip install repro-biswas-date17[arrow]``); the
-    ``REPRO_DISABLE_ARROW`` kill-switch turns the encoding off per
-    process without reinstalling (existing Arrow files stay *readable*
-    whenever pyarrow is importable — the switch gates negotiation, not
-    decoding).
-
-Both encodings are **append-only**: the executor and the distributed
-service's journal append each :class:`ScenarioOutcome` as it completes
-(O(1) checkpoint cost), instead of rewriting the whole campaign.  Records
-carry a content ``digest`` (frames + spec + status, *excluding* the
-derived ``metrics`` summary) so :func:`merge_store_files` can detect
+Records carry a content ``digest`` (frames + spec + status, *excluding*
+the derived ``metrics`` summary) so :func:`merge_store_files` can detect
 conflicting duplicates while holding only one record in memory, and a
 cached ``metrics`` summary so reporting answers summary queries without
 touching frames at all.
 
-Corruption handling carries over from the JSON checkpoints: an unreadable
-store is quarantined to ``<path>.corrupt`` with a ``RuntimeWarning``
+Corruption handling carries over from the JSON blob: an unreadable store
+is quarantined to ``<path>.corrupt`` with a ``RuntimeWarning``
 (:func:`repro.campaign.results.quarantine_corrupt_file`), and — because
 records are independent — :func:`load_store_checkpoint` additionally
 salvages the valid prefix of a torn file before quarantining it.
-
-Format selection is capability-negotiated like the engine backends:
-:func:`negotiate_store` maps the CLI's ``--store {auto,json,arrow}`` onto
-``json`` (the legacy monolithic blob), ``jsonl`` or ``arrow``, and
-:meth:`CampaignResult.load` auto-detects the format from the magic header
-so readers never need to be told what they are looking at.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro._compat import HAVE_PYARROW, arrow_disabled
 from repro.errors import ConfigurationError, SimulationError
 from repro.campaign.results import (
     CORRUPT_CHECKPOINT_ERRORS,
@@ -75,52 +58,11 @@ from repro.sim.results import SimulationResult
 MAGIC = b"#repro-campaign-store"
 #: Store format version stamped into (and required from) the header.
 FORMAT_VERSION = 1
+#: The record encoding stamped into (and required from) the header.
+ENCODING = "jsonl"
 
-#: Requested-format names (the CLI's ``--store`` choices).
-STORE_AUTO = "auto"
-STORE_JSON = "json"
-STORE_ARROW = "arrow"
-STORE_CHOICES = (STORE_AUTO, STORE_JSON, STORE_ARROW)
-
-#: Resolved on-disk encodings of the columnar store.
-ENCODING_JSONL = "jsonl"
-ENCODING_ARROW = "arrow"
-ENCODINGS = (ENCODING_JSONL, ENCODING_ARROW)
-
-#: Rows per Arrow segment (and per jsonl writelines batch) in bulk saves;
-#: appends write one record per segment so each completion is one flush.
+#: Records encoded per write in bulk saves.
 STORE_CHUNK_ROWS = 256
-
-
-def arrow_available() -> bool:
-    """Whether the Arrow encoding may be *written* in this process."""
-    return HAVE_PYARROW and not arrow_disabled()
-
-
-def negotiate_store(requested: str = STORE_AUTO) -> str:
-    """Resolve a requested ``--store`` format to a concrete one.
-
-    Returns ``"json"`` (the legacy monolithic blob) or a columnar
-    encoding (``"jsonl"`` / ``"arrow"``):
-
-    * ``json`` — always the legacy blob; never columnar.
-    * ``arrow`` — the columnar store, Arrow-encoded when pyarrow is
-      importable and not disabled, jsonl-encoded otherwise (the columnar
-      machinery is identical; only the byte encoding degrades).
-    * ``auto`` — Arrow when available, otherwise the legacy ``json``
-      blob, so a pyarrow-less install behaves byte-identically to one
-      that predates this module (mirroring jitpath's negotiation
-      fall-through).
-    """
-    if requested == STORE_JSON:
-        return STORE_JSON
-    if requested == STORE_ARROW:
-        return ENCODING_ARROW if arrow_available() else ENCODING_JSONL
-    if requested == STORE_AUTO:
-        return ENCODING_ARROW if arrow_available() else STORE_JSON
-    raise ConfigurationError(
-        f"unknown result store format {requested!r}; expected one of {STORE_CHOICES}"
-    )
 
 
 def is_store_file(path: str) -> bool:
@@ -130,18 +72,6 @@ def is_store_file(path: str) -> bool:
             return handle.read(len(MAGIC)) == MAGIC
     except OSError:
         return False
-
-
-def _pyarrow():
-    """Import pyarrow or explain how to get it (never quarantines good data)."""
-    if not HAVE_PYARROW:
-        raise ConfigurationError(
-            "this result store is Arrow-encoded but pyarrow is not installed; "
-            "install the extra (pip install 'repro-biswas-date17[arrow]') to read it"
-        )
-    import pyarrow  # noqa: PLC0415 - deliberate lazy import (native modules)
-
-    return pyarrow
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +216,14 @@ def decode_record(
 
 
 # ---------------------------------------------------------------------------
-# File framing: header line + jsonl lines / length-prefixed Arrow segments.
+# File framing: header line + one JSON record per line.
 # ---------------------------------------------------------------------------
 
 
-def _header_line(campaign_name: str, encoding: str) -> bytes:
+def _header_line(campaign_name: str) -> bytes:
     meta = {
         "campaign_name": campaign_name,
-        "encoding": encoding,
+        "encoding": ENCODING,
         "version": FORMAT_VERSION,
     }
     return MAGIC + b" " + json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n"
@@ -307,110 +237,34 @@ def _read_header(handle) -> Dict[str, Any]:
     meta = json.loads(line[len(MAGIC) + 1 :].decode("utf-8"))
     if not isinstance(meta, dict):
         raise ValueError("store header is not a JSON object")
+    name = getattr(handle, "name", "?")
     version = meta.get("version")
     if version != FORMAT_VERSION:
         # A future format is a setup problem, not corruption: never
         # quarantine a file a newer build wrote deliberately.
         raise ConfigurationError(
-            f"result store {getattr(handle, 'name', '?')!r} has format version "
+            f"result store {name!r} has format version "
             f"{version!r}; this build reads version {FORMAT_VERSION}"
         )
-    if meta.get("encoding") not in ENCODINGS:
-        raise ValueError(f"unknown store encoding {meta.get('encoding')!r}")
+    encoding = meta.get("encoding")
+    if encoding == "arrow":
+        # Written deliberately by an older release: a setup problem, not
+        # corruption, so it must never be quarantined either.
+        raise ConfigurationError(
+            f"result store {name!r} uses the 'arrow' encoding of an older "
+            f"release, which this build no longer reads (it reads only "
+            f"{ENCODING!r}); load it with that release and pyarrow, then "
+            f"re-save it with CampaignResult.save"
+        )
+    if encoding != ENCODING:
+        raise ValueError(f"unknown store encoding {encoding!r}")
     if "campaign_name" not in meta:
         raise ValueError("store header has no campaign_name")
     return meta
 
 
-_ARROW_META_COLUMN = "meta"
-
-
-def _arrow_schema(pa):
-    fields = [pa.field(_ARROW_META_COLUMN, pa.string())]
-    for name in FRAME_COLUMN_NAMES:
-        if name in ("index", "operating_index"):
-            value_type = pa.int64()
-        elif name == "explored":
-            value_type = pa.bool_()
-        elif name == "cycles_per_core":
-            value_type = pa.list_(pa.float64())
-        else:
-            value_type = pa.float64()
-        fields.append(pa.field(name, pa.list_(value_type)))
-    return pa.schema(fields)
-
-
-def _arrow_segment(records: Sequence[Dict[str, Any]]) -> bytes:
-    """Encode records as one length-prefixed, self-contained IPC segment."""
-    pa = _pyarrow()
-    schema = _arrow_schema(pa)
-    metas: List[str] = []
-    frame_columns: Dict[str, List[Optional[list]]] = {
-        name: [] for name in FRAME_COLUMN_NAMES
-    }
-    for record in records:
-        result_data = record.get("result")
-        meta = dict(record)
-        if result_data is not None:
-            meta["result"] = {
-                key: value for key, value in result_data.items() if key != "frames"
-            }
-            frames = result_data["frames"]
-            for name in FRAME_COLUMN_NAMES:
-                frame_columns[name].append(list(frames[name]))
-        else:
-            for name in FRAME_COLUMN_NAMES:
-                frame_columns[name].append(None)
-        metas.append(json.dumps(meta))
-    arrays = [pa.array(metas, type=pa.string())]
-    for field in schema[1:]:
-        arrays.append(pa.array(frame_columns[field.name], type=field.type))
-    batch = pa.record_batch(arrays, schema=schema)
-    sink = io.BytesIO()
-    with pa.ipc.new_stream(sink, schema) as writer:
-        writer.write_batch(batch)
-    payload = sink.getvalue()
-    return len(payload).to_bytes(8, "little") + payload
-
-
-def _arrow_segment_table(payload: bytes):
-    pa = _pyarrow()
-    with pa.ipc.open_stream(io.BytesIO(payload)) as reader:
-        return reader.read_all()
-
-
-def _arrow_segment_records(
-    payload: bytes, include_frames: bool
-) -> List[Dict[str, Any]]:
-    """Decode one segment back to store records (optionally with frames)."""
-    table = _arrow_segment_table(payload)
-    metas = table.column(_ARROW_META_COLUMN).to_pylist()
-    records: List[Dict[str, Any]] = []
-    frames_by_name = (
-        {name: table.column(name).to_pylist() for name in FRAME_COLUMN_NAMES}
-        if include_frames
-        else None
-    )
-    for row, meta_json in enumerate(metas):
-        record = json.loads(meta_json)
-        if not isinstance(record, dict):
-            raise ValueError("arrow segment meta row is not a JSON object")
-        if include_frames and record.get("result") is not None:
-            record["result"]["frames"] = {
-                name: frames_by_name[name][row] for name in FRAME_COLUMN_NAMES
-            }
-        records.append(record)
-    return records
-
-
-def _arrow_segment_frames(payload: bytes, row: int) -> Dict[str, list]:
-    """Extract one row's frame columns from a segment (lazy loaders)."""
-    table = _arrow_segment_table(payload)
-    return {name: table.column(name)[row].as_py() for name in FRAME_COLUMN_NAMES}
-
-
 # ---------------------------------------------------------------------------
-# Writer: create / append / flush.
+# Writer: create / append.
 # ---------------------------------------------------------------------------
 
 
@@ -418,63 +272,48 @@ class StoreWriter:
     """Append-only writer for one columnar store file.
 
     ``create`` starts a fresh file (header included); ``open_append``
-    reopens an existing one and keeps appending in its encoding.  Each
-    :meth:`append` call writes exactly one record — a single
-    ``handle.write`` of a whole line/segment followed by
-    :meth:`flush` on the executor's checkpoint cadence — so checkpoint
-    cost is O(1) per completion instead of O(campaign).
+    reopens an existing one.  Each :meth:`append` writes one whole record
+    line and flushes it, so checkpoint cost is O(1) per completion
+    instead of O(campaign), and a crash loses at most the record being
+    written (whose torn tail :func:`load_store_checkpoint` salvages
+    around).
     """
 
-    def __init__(self, path: str, campaign_name: str, encoding: str, handle) -> None:
+    def __init__(self, path: str, campaign_name: str, handle) -> None:
         self.path = path
         self.campaign_name = campaign_name
-        self.encoding = encoding
         self._handle = handle
 
     @classmethod
-    def create(cls, path: str, campaign_name: str, encoding: str) -> "StoreWriter":
-        if encoding not in ENCODINGS:
-            raise ConfigurationError(
-                f"unknown store encoding {encoding!r}; expected one of {ENCODINGS}"
-            )
-        if encoding == ENCODING_ARROW:
-            _pyarrow()  # fail before creating the file, not on first append
+    def create(cls, path: str, campaign_name: str) -> "StoreWriter":
         handle = open(path, "wb")
-        handle.write(_header_line(campaign_name, encoding))
+        handle.write(_header_line(campaign_name))
         handle.flush()
-        return cls(path, campaign_name, encoding, handle)
+        return cls(path, campaign_name, handle)
 
     @classmethod
     def open_append(cls, path: str) -> "StoreWriter":
         with open(path, "rb") as probe:
             meta = _read_header(probe)
-        if meta["encoding"] == ENCODING_ARROW:
-            _pyarrow()
-        return cls(path, meta["campaign_name"], meta["encoding"], open(path, "ab"))
+        return cls(path, meta["campaign_name"], open(path, "ab"))
 
     def append(self, outcome: ScenarioOutcome) -> None:
-        """Append one outcome (O(1) in the number already stored)."""
+        """Append and flush one outcome (O(1) in the number already stored)."""
         self.append_records([encode_record(outcome)])
+        self._handle.flush()
 
     def append_records(self, records: Sequence[Dict[str, Any]]) -> None:
         """Append pre-encoded records (bulk saves chunk through this)."""
-        if not records:
-            return
-        if self.encoding == ENCODING_JSONL:
-            lines = b"".join(
-                json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
-                for record in records
+        if records:
+            self._handle.write(
+                b"".join(
+                    json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
+                    for record in records
+                )
             )
-            self._handle.write(lines)
-        else:
-            self._handle.write(_arrow_segment(records))
-
-    def flush(self) -> None:
-        self._handle.flush()
 
     def close(self) -> None:
         if self._handle is not None:
-            self._handle.flush()
             self._handle.close()
             self._handle = None
 
@@ -498,109 +337,62 @@ class StoreReader:
         with open(path, "rb") as handle:
             meta = _read_header(handle)
         self.campaign_name: str = meta["campaign_name"]
-        self.encoding: str = meta["encoding"]
-        if self.encoding == ENCODING_ARROW:
-            _pyarrow()
 
-    def iter_records(
-        self, include_frames: bool = True
-    ) -> Iterator[Tuple[Dict[str, Any], Tuple]]:
-        """Yield ``(record, location)`` pairs in file order.
+    def iter_records(self) -> Iterator[Tuple[Dict[str, Any], int, int]]:
+        """Yield ``(record, offset, length)`` triples in file order.
 
-        ``location`` is ``("jsonl", offset, length)`` or
-        ``("arrow", offset, length, row)`` — enough for a lazy loader to
-        re-read exactly one record's frames later.  A truncated or
-        garbled tail raises ``ValueError`` at the first bad record, after
-        every preceding good record has been yielded (which is what lets
-        :func:`load_store_checkpoint` salvage the prefix).
+        ``offset``/``length`` locate the record's line — enough for a lazy
+        loader to re-read exactly one record's frames later.  A truncated
+        or garbled tail raises ``ValueError`` at the first bad record,
+        after every preceding good record has been yielded (which is what
+        lets :func:`load_store_checkpoint` salvage the prefix).
         """
         with open(self.path, "rb") as handle:
             _read_header(handle)
-            if self.encoding == ENCODING_JSONL:
-                yield from self._iter_jsonl(handle)
-            else:
-                yield from self._iter_arrow(handle, include_frames)
+            while True:
+                offset = handle.tell()
+                line = handle.readline()
+                if not line:
+                    return
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("store record line is not a JSON object")
+                yield record, offset, len(line)
 
-    def _iter_jsonl(self, handle) -> Iterator[Tuple[Dict[str, Any], Tuple]]:
-        while True:
-            offset = handle.tell()
-            line = handle.readline()
-            if not line:
-                return
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("store record line is not a JSON object")
-            yield record, (ENCODING_JSONL, offset, len(line))
-
-    def _iter_arrow(
-        self, handle, include_frames: bool
-    ) -> Iterator[Tuple[Dict[str, Any], Tuple]]:
-        size = os.fstat(handle.fileno()).st_size
-        while True:
-            prefix = handle.read(8)
-            if not prefix:
-                return
-            if len(prefix) < 8:
-                raise ValueError("truncated arrow segment length prefix")
-            length = int.from_bytes(prefix, "little")
-            offset = handle.tell()
-            if length <= 0 or offset + length > size:
-                raise ValueError(
-                    f"arrow segment at offset {offset} claims {length} bytes "
-                    f"but the file holds {size}"
-                )
-            payload = handle.read(length)
-            for row, record in enumerate(
-                _arrow_segment_records(payload, include_frames)
-            ):
-                yield record, (ENCODING_ARROW, offset, length, row)
-
-    def _frames_loader(self, location: Tuple) -> Callable[[], Dict[str, list]]:
+    def _frames_loader(self, offset: int, length: int) -> Callable[[], Dict[str, list]]:
         path = self.path
-        if location[0] == ENCODING_JSONL:
-            _, offset, length = location
 
-            def load_jsonl() -> Dict[str, list]:
-                with open(path, "rb") as handle:
-                    handle.seek(offset)
-                    record = json.loads(handle.read(length))
-                return _frames_for_deferred(record["result"]["frames"])
-
-            return load_jsonl
-        _, offset, length, row = location
-
-        def load_arrow() -> Dict[str, list]:
+        def load() -> Dict[str, list]:
             with open(path, "rb") as handle:
                 handle.seek(offset)
-                payload = handle.read(length)
-            return _frames_for_deferred(_arrow_segment_frames(payload, row))
+                record = json.loads(handle.read(length))
+            return _frames_for_deferred(record["result"]["frames"])
 
-        return load_arrow
+        return load
 
     def iter_outcomes(self, lazy: bool = False) -> Iterator[ScenarioOutcome]:
         """Decode every stored outcome, optionally with disk-backed frames."""
-        for record, location in self.iter_records(include_frames=not lazy):
+        for record, offset, length in self.iter_records():
             loader = None
             if lazy and record.get("result") is not None:
                 record["result"].pop("frames", None)
-                loader = self._frames_loader(location)
+                loader = self._frames_loader(offset, length)
             yield decode_record(record, frames_loader=loader)
 
 
 # ---------------------------------------------------------------------------
-# Whole-store operations: atomic save, load, checkpoint salvage, merge.
+# Whole-store operations: atomic save, seeded append, load, salvage, merge.
 # ---------------------------------------------------------------------------
 
 
 def save_store(
     store: CampaignResult,
     path: str,
-    encoding: str,
     chunk_rows: int = STORE_CHUNK_ROWS,
 ) -> None:
     """Atomically (re)write a whole store columnar (write-temp + ``os.replace``)."""
     temp_path = f"{path}.tmp"
-    writer = StoreWriter.create(temp_path, store.campaign_name, encoding)
+    writer = StoreWriter.create(temp_path, store.campaign_name)
     try:
         batch: List[Dict[str, Any]] = []
         for outcome in store:
@@ -618,6 +410,18 @@ def save_store(
         except OSError:
             pass
         raise
+
+
+def seed_store(store: CampaignResult, path: str) -> StoreWriter:
+    """Atomically seed ``path`` with ``store``, then reopen it for appends.
+
+    The one start-up path of every append-only file — the executor's
+    checkpoint and the service journal's outcomes store: the rewrite
+    publishes whatever survived resume, and each later completion is a
+    single O(1) :meth:`StoreWriter.append`.
+    """
+    save_store(store, path)
+    return StoreWriter.open_append(path)
 
 
 def load_store(path: str, lazy: bool = False) -> CampaignResult:
@@ -672,7 +476,7 @@ def _iter_shard(path: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
     """
     if is_store_file(path):
         reader = StoreReader(path)
-        for record, _ in reader.iter_records(include_frames=True):
+        for record, _, _ in reader.iter_records():
             yield reader.campaign_name, record
         return
     legacy = CampaignResult.load(path)
@@ -690,7 +494,6 @@ def merge_store_files(
     paths: Sequence[str],
     output_path: str,
     spec: Optional[CampaignSpec] = None,
-    store: str = STORE_AUTO,
 ) -> MergeStats:
     """Streaming union of shard result files into ``output_path``.
 
@@ -700,13 +503,12 @@ def merge_store_files(
     raise :class:`SimulationError`, and at no point is more than one
     record (plus one legacy shard, if any input is monolithic JSON) held
     in memory.  Pass 2 re-reads the spill by offset in final order
-    (``spec`` order when given, else first occurrence) and writes the
-    negotiated output format atomically; the monolithic JSON output is
-    streamed byte-identically to ``CampaignResult.save``.
+    (``spec`` order when given, else first occurrence) and streams the
+    monolithic JSON blob atomically, byte-identical to
+    ``CampaignResult.save``.
     """
     if not paths:
         raise ConfigurationError("merge needs at least one result store")
-    resolved = negotiate_store(store)
     spill_path = f"{output_path}.merge-spill"
     campaign_name: Optional[str] = None
     #: scenario_id -> (digest, spill offset, spill length, label)
@@ -763,28 +565,15 @@ def merge_store_files(
 
         spill.flush()
         temp_path = f"{output_path}.tmp"
-        if resolved == STORE_JSON:
-            with open(temp_path, "w", encoding="utf-8") as out:
-                out.write(
-                    '{"campaign_name": ' + json.dumps(campaign_name) + ', "outcomes": ['
-                )
-                for position, sid in enumerate(ordered_ids):
-                    if position:
-                        out.write(", ")
-                    out.write(json.dumps(decode_record(read_spill(sid)).to_dict()))
-                out.write("]}")
-        else:
-            writer = StoreWriter.create(temp_path, campaign_name, resolved)
-            try:
-                batch: List[Dict[str, Any]] = []
-                for sid in ordered_ids:
-                    batch.append(read_spill(sid))
-                    if len(batch) >= STORE_CHUNK_ROWS:
-                        writer.append_records(batch)
-                        batch = []
-                writer.append_records(batch)
-            finally:
-                writer.close()
+        with open(temp_path, "w", encoding="utf-8") as out:
+            out.write(
+                '{"campaign_name": ' + json.dumps(campaign_name) + ', "outcomes": ['
+            )
+            for position, sid in enumerate(ordered_ids):
+                if position:
+                    out.write(", ")
+                out.write(json.dumps(decode_record(read_spill(sid)).to_dict()))
+            out.write("]}")
         os.replace(temp_path, output_path)
     finally:
         spill.close()

@@ -58,8 +58,6 @@ class ExperimentSettings:
         checkpoints its campaign to ``<dir>/<campaign>.checkpoint.json``
         as scenarios complete and resumes from an existing checkpoint, so
         a crashed/killed reproduction run picks up where it left off.
-    checkpoint_every:
-        Scenario completions between checkpoint writes.
     max_attempts:
         Per-scenario execution attempts (> 1 retries crashing scenarios).
     retry_backoff_s:
@@ -77,7 +75,6 @@ class ExperimentSettings:
     backend: str = field(default_factory=default_backend)
     max_workers: Optional[int] = None
     checkpoint_dir: Optional[str] = field(default_factory=default_checkpoint_dir)
-    checkpoint_every: int = 10
     max_attempts: int = 1
     retry_backoff_s: float = 0.0
     timeout_s: Optional[float] = None
@@ -117,10 +114,7 @@ class ExperimentSettings:
             CampaignResult.load_checkpoint(checkpoint) if checkpoint else None
         )
         store = self.make_executor().run(
-            campaign,
-            resume=resume,
-            checkpoint_path=checkpoint,
-            checkpoint_every=self.checkpoint_every,
+            campaign, resume=resume, checkpoint_path=checkpoint
         )
         store.raise_on_failures()
         return store

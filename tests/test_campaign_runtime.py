@@ -98,6 +98,19 @@ def _kamikaze_governor(sentinel=""):
     return PerformanceGovernor()
 
 
+#: What the checkpoint file held each time the probe governor below was built.
+_CHECKPOINT_AT_START = []
+
+
+@register_governor("test-checkpoint-probe-governor")
+def _checkpoint_probe_governor(path=""):
+    # Built when its scenario starts: record the checkpoint's size then.
+    _CHECKPOINT_AT_START.append(
+        len(CampaignResult.load(path)) if os.path.exists(path) else None
+    )
+    return PerformanceGovernor()
+
+
 def flaky_campaign(fail_times):
     _FLAKY_CALLS["n"] = 0
     scenario = ScenarioSpec(
@@ -328,7 +341,7 @@ class TestExecutorFaultInjection:
         path = tmp_path / "ckpt.json"
         with pytest.raises(BrokenProcessPool):
             CampaignExecutor(backend="process", max_workers=2).run(
-                chaos, checkpoint_path=str(path), checkpoint_every=1
+                chaos, checkpoint_path=str(path)
             )
         # The emergency checkpoint holds only work that really finished;
         # the killed scenario is not in it.
@@ -354,28 +367,30 @@ class TestExecutorFaultInjection:
     def test_interrupt_during_checkpoint_write_resumes_cleanly(
         self, campaign, full_store, tmp_path, monkeypatch
     ):
-        import repro.campaign.results as results_module
+        import repro.campaign.store as store_module
 
         path = tmp_path / "ckpt.json"
         real_replace = os.replace
-        armed = {"yes": True}
+        armed = {"yes": False}
+
+        def arm(label, done, total):
+            armed["yes"] = done == total
 
         def interrupted_replace(src, dst):
-            # Ctrl-C lands exactly inside the first checkpoint publish.
+            # Ctrl-C lands exactly inside the final campaign-ordered rewrite.
             if armed["yes"] and str(dst) == str(path):
                 armed["yes"] = False
                 raise KeyboardInterrupt
             return real_replace(src, dst)
 
-        monkeypatch.setattr(results_module.os, "replace", interrupted_replace)
+        monkeypatch.setattr(store_module.os, "replace", interrupted_replace)
         with pytest.raises(CampaignInterrupted) as info:
-            CampaignExecutor().run(
-                campaign, checkpoint_path=str(path), checkpoint_every=1
-            )
-        # The emergency save retried the publish: the file on disk is a
-        # complete, loadable store — never a truncated one.
+            CampaignExecutor().run(campaign, progress=arm, checkpoint_path=str(path))
+        # The appended checkpoint survives with every outcome, and the
+        # aborted rewrite left no temp file behind.
         checkpoint = CampaignResult.load(str(path))
-        assert len(checkpoint) == len(info.value.partial) == 1
+        assert len(checkpoint) == len(info.value.partial) == len(campaign)
+        assert sorted(os.listdir(tmp_path)) == ["ckpt.json"]
         executed = []
         resumed = CampaignExecutor().run(
             campaign,
@@ -383,7 +398,7 @@ class TestExecutorFaultInjection:
             progress=lambda label, done, total: executed.append(label),
             checkpoint_path=str(path),
         )
-        assert executed == [s.label for s in checkpoint.pending(campaign)]
+        assert executed == []
         assert resumed.to_json() == full_store.to_json()
 
 
@@ -422,36 +437,32 @@ class TestCheckpointing:
         sizes = []
 
         def watch(label, done, total):
-            # The checkpoint on disk always trails by < checkpoint_every.
-            sizes.append(len(CampaignResult.load(str(path))) if path.exists() else 0)
+            sizes.append(len(CampaignResult.load(str(path))))
 
         store = CampaignExecutor().run(
-            campaign, progress=watch, checkpoint_path=str(path), checkpoint_every=1
+            campaign, progress=watch, checkpoint_path=str(path)
         )
-        # Before completion k the file held k-1 outcomes (progress fires
-        # after add but before the k-th checkpoint write).
-        assert sizes == [0, 1, 2, 3]
+        # Completion k is appended (and flushed) before progress fires, so
+        # the file already holds k outcomes.
+        assert sizes == [1, 2, 3, 4]
         assert store.to_json() == full_store.to_json()
         # The final checkpoint is the completed, campaign-ordered store.
         assert CampaignResult.load(str(path)).to_json() == full_store.to_json()
         assert not (tmp_path / "ckpt.json.tmp").exists()
 
-    def test_checkpoint_every_k(self, campaign, tmp_path):
+    def test_checkpoint_seeded_before_first_completion(self, campaign, tmp_path):
         path = tmp_path / "ckpt.json"
-        observed = []
-
-        def watch(label, done, total):
-            observed.append(path.exists())
-
-        CampaignExecutor().run(
-            campaign, progress=watch, checkpoint_path=str(path), checkpoint_every=3
+        _CHECKPOINT_AT_START.clear()
+        probe = ScenarioSpec(
+            label="probe",
+            application=FactorySpec.of("mpeg4", num_frames=FRAMES),
+            governor=FactorySpec.of("test-checkpoint-probe-governor", path=str(path)),
         )
-        # No file after completions 1 and 2; written at completion 3.
-        assert observed == [False, False, False, True]
-
-    def test_checkpoint_every_validated(self, campaign):
-        with pytest.raises(ConfigurationError):
-            CampaignExecutor().run(campaign, checkpoint_every=0)
+        probed = CampaignSpec(name="probed", scenarios=(probe,) + campaign.scenarios)
+        CampaignExecutor().run(probed, checkpoint_path=str(path))
+        # When the first scenario started, the (empty) checkpoint was
+        # already on disk and loadable.
+        assert _CHECKPOINT_AT_START == [0]
 
     def test_crash_resume_is_bit_identical(self, campaign, full_store, tmp_path):
         """Kill a checkpointing campaign mid-run, resume, compare JSON."""
@@ -489,9 +500,7 @@ class TestCheckpointing:
                 raise RuntimeError("harness died")
 
         with pytest.raises(RuntimeError, match="harness died"):
-            CampaignExecutor().run(
-                campaign, progress=bomb, checkpoint_path=str(path), checkpoint_every=99
-            )
+            CampaignExecutor().run(campaign, progress=bomb, checkpoint_path=str(path))
         assert len(CampaignResult.load(str(path))) == 2
 
     def test_interrupt_without_checkpoint_carries_partial(self, campaign):
@@ -591,8 +600,6 @@ class TestCli:
         assert cli_main(
             ["merge", *shard_files, "--spec", spec_path, "--output", merged, "--quiet"]
         ) == 0
-        # Compare through the loader so the assertion holds whatever on-disk
-        # format `auto` negotiated (legacy JSON here, columnar under pyarrow).
         assert CampaignResult.load(merged).to_dict() == CampaignResult.load(full).to_dict()
 
     def test_bad_shard_selector_is_usage_error(self, spec_path, capsys):
@@ -637,9 +644,7 @@ class TestExperimentSettingsCheckpointing:
     def test_run_campaign_checkpoints_and_resumes(self, tmp_path):
         from repro.experiments import ExperimentSettings
 
-        settings = ExperimentSettings(
-            num_frames=FRAMES, checkpoint_dir=str(tmp_path), checkpoint_every=1
-        )
+        settings = ExperimentSettings(num_frames=FRAMES, checkpoint_dir=str(tmp_path))
         campaign = small_campaign(name="exp-ckpt")
         store = settings.run_campaign(campaign)
         checkpoint = tmp_path / "exp-ckpt.checkpoint.json"

@@ -1,16 +1,11 @@
 """Tests for the columnar on-disk result store (``repro.campaign.store``).
 
-Covers the PR-10 tentpole surface: format negotiation (with the
-``REPRO_DISABLE_ARROW`` kill-switch), store/load round-trip parity with
-the legacy JSON blob (eager and lazy), O(1) append-only checkpointing
-(byte-prefix stability across appends), torn-file salvage + quarantine,
-the streaming shard merge (sharded + merged == unsharded in every
-format combination), the executor/service integration, and the CLI's
-``--store`` flag.
-
-The Arrow encoding is exercised only when pyarrow is importable — on a
-pyarrow-less install every test runs against the pure-JSON ``jsonl``
-encoding, which shares all machinery except the byte encoding.
+Covers store/load round-trip parity with the JSON blob (eager and
+lazy), O(1) append-only checkpointing (byte-prefix stability across
+appends), torn-file salvage + quarantine, rejection (never quarantine) of
+the Arrow-encoded files older releases wrote, the streaming shard merge
+(sharded + merged == unsharded, byte for byte), the executor/service
+integration, and the CLI's ``--checkpoint`` / ``--output`` split.
 """
 
 import json
@@ -35,10 +30,9 @@ from repro.errors import ConfigurationError, SimulationError
 #: Small scale so the whole module stays fast.
 FRAMES = 40
 
-#: Concrete encodings testable in this interpreter.
-ENCODINGS = [result_store.ENCODING_JSONL] + (
-    [result_store.ENCODING_ARROW] if result_store.arrow_available() else []
-)
+#: The store encodings this build writes (one); parametrised so the test
+#: ids keep their encoding suffix.
+ENCODINGS = [result_store.ENCODING]
 
 
 def small_campaign(name="store", seeds=(1, 2)):
@@ -68,7 +62,7 @@ def campaign():
 
 @pytest.fixture(scope="module")
 def full_store(campaign):
-    return run_campaign(campaign, store="json")
+    return run_campaign(campaign)
 
 
 @pytest.fixture(scope="module")
@@ -77,59 +71,21 @@ def mixed_store(campaign):
     spec = CampaignSpec(
         name="store-mixed", scenarios=campaign.scenarios[:2] + (broken_scenario(),)
     )
-    return run_campaign(spec, store="json")
-
-
-class TestNegotiation:
-    def test_json_is_always_legacy(self):
-        assert result_store.negotiate_store("json") == result_store.STORE_JSON
-
-    def test_arrow_degrades_to_jsonl_without_pyarrow(self):
-        resolved = result_store.negotiate_store("arrow")
-        if result_store.arrow_available():
-            assert resolved == result_store.ENCODING_ARROW
-        else:
-            assert resolved == result_store.ENCODING_JSONL
-
-    def test_auto_prefers_arrow_else_legacy_json(self):
-        resolved = result_store.negotiate_store("auto")
-        if result_store.arrow_available():
-            assert resolved == result_store.ENCODING_ARROW
-        else:
-            assert resolved == result_store.STORE_JSON
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown result store"):
-            result_store.negotiate_store("parquet")
-
-    def test_kill_switch_disables_arrow(self, monkeypatch):
-        # Simulate a pyarrow install with the kill-switch thrown: the
-        # writer must degrade exactly like a pyarrow-less install.
-        monkeypatch.setattr(result_store, "HAVE_PYARROW", True)
-        monkeypatch.setenv("REPRO_DISABLE_ARROW", "1")
-        assert not result_store.arrow_available()
-        assert result_store.negotiate_store("auto") == result_store.STORE_JSON
-        assert result_store.negotiate_store("arrow") == result_store.ENCODING_JSONL
-
-    def test_kill_switch_off_values(self, monkeypatch):
-        monkeypatch.setattr(result_store, "HAVE_PYARROW", True)
-        for value in ("", "0"):
-            monkeypatch.setenv("REPRO_DISABLE_ARROW", value)
-            assert result_store.arrow_available()
+    return run_campaign(spec)
 
 
 @pytest.mark.parametrize("encoding", ENCODINGS)
 class TestRoundTrip:
     def test_to_dict_parity_with_legacy_json(self, tmp_path, full_store, encoding):
         path = str(tmp_path / "results.bin")
-        result_store.save_store(full_store, path, encoding)
+        result_store.save_store(full_store, path)
         assert result_store.is_store_file(path)
         loaded = CampaignResult.load(path)
         assert loaded.to_dict() == full_store.to_dict()
 
     def test_lazy_load_parity(self, tmp_path, full_store, encoding):
         path = str(tmp_path / "results.bin")
-        result_store.save_store(full_store, path, encoding)
+        result_store.save_store(full_store, path)
         lazy = CampaignResult.load(path, lazy=True)
         assert lazy.to_dict() == full_store.to_dict()
 
@@ -137,7 +93,7 @@ class TestRoundTrip:
         self, tmp_path, full_store, encoding
     ):
         path = str(tmp_path / "results.bin")
-        result_store.save_store(full_store, path, encoding)
+        result_store.save_store(full_store, path)
         lazy = CampaignResult.load(path, lazy=True)
         # Summaries come from the cached metrics: delete the file and the
         # summary must still answer (frame access would now raise).
@@ -150,22 +106,22 @@ class TestRoundTrip:
 
     def test_failed_outcomes_round_trip(self, tmp_path, mixed_store, encoding):
         path = str(tmp_path / "mixed.bin")
-        result_store.save_store(mixed_store, path, encoding)
+        result_store.save_store(mixed_store, path)
         loaded = CampaignResult.load(path)
         assert loaded.to_dict() == mixed_store.to_dict()
         assert [o.label for o in loaded.failed()] == ["broken"]
 
     def test_save_via_campaign_result(self, tmp_path, full_store, encoding):
-        # CampaignResult.save routes "arrow" through the negotiated
-        # columnar encoding; "json" stays byte-identical legacy.
+        # CampaignResult.save writes the JSON blob; save_store the
+        # columnar store; both load back to the same store.
         columnar = str(tmp_path / "columnar.bin")
-        legacy = str(tmp_path / "legacy.json")
-        full_store.save(columnar, store="arrow")
-        full_store.save(legacy, store="json")
+        blob = str(tmp_path / "results.json")
+        result_store.save_store(full_store, columnar)
+        full_store.save(blob)
         assert result_store.is_store_file(columnar)
-        assert not result_store.is_store_file(legacy)
-        with open(legacy, encoding="utf-8") as handle:
-            assert json.load(handle) == full_store.to_dict()
+        assert not result_store.is_store_file(blob)
+        with open(blob, encoding="utf-8") as handle:
+            assert handle.read() == full_store.to_json()
         assert CampaignResult.load(columnar).to_dict() == full_store.to_dict()
 
 
@@ -174,9 +130,7 @@ class TestAppendOnly:
     def test_append_reopen_equals_bulk_save(self, tmp_path, full_store, encoding):
         path = str(tmp_path / "appended.bin")
         outcomes = list(full_store)
-        writer = result_store.StoreWriter.create(
-            path, full_store.campaign_name, encoding
-        )
+        writer = result_store.StoreWriter.create(path, full_store.campaign_name)
         writer.append(outcomes[0])
         writer.close()
         # Reopen-and-append survives process restarts mid-campaign.
@@ -190,13 +144,10 @@ class TestAppendOnly:
         # never rewrites outcomes 0..N (the file grows strictly by
         # suffix), unlike the legacy whole-blob rewrite.
         path = str(tmp_path / "prefix.bin")
-        writer = result_store.StoreWriter.create(
-            path, full_store.campaign_name, encoding
-        )
+        writer = result_store.StoreWriter.create(path, full_store.campaign_name)
         snapshots = []
         for outcome in full_store:
             writer.append(outcome)
-            writer.flush()
             with open(path, "rb") as handle:
                 snapshots.append(handle.read())
         writer.close()
@@ -208,21 +159,23 @@ class TestAppendOnly:
         self, tmp_path, full_store, encoding
     ):
         path = str(tmp_path / "meta.bin")
-        result_store.save_store(full_store, path, encoding)
+        result_store.save_store(full_store, path)
         reader = result_store.StoreReader(path)
         assert reader.campaign_name == full_store.campaign_name
-        assert reader.encoding == encoding
+        with open(path, "rb") as handle:
+            header = handle.readline()
+        assert json.loads(header[len(result_store.MAGIC) + 1 :])["encoding"] == encoding
 
 
 @pytest.mark.parametrize("encoding", ENCODINGS)
 class TestCorruption:
-    def _saved(self, tmp_path, full_store, encoding):
+    def _saved(self, tmp_path, full_store):
         path = str(tmp_path / "ckpt.bin")
-        result_store.save_store(full_store, path, encoding)
+        result_store.save_store(full_store, path)
         return path
 
     def test_truncated_tail_salvages_prefix(self, tmp_path, full_store, encoding):
-        path = self._saved(tmp_path, full_store, encoding)
+        path = self._saved(tmp_path, full_store)
         with open(path, "rb") as handle:
             blob = handle.read()
         # Tear the file mid-way through the last record.
@@ -241,7 +194,7 @@ class TestCorruption:
         assert os.path.exists(path + ".corrupt")
 
     def test_garbled_record_salvages_prefix(self, tmp_path, full_store, encoding):
-        path = self._saved(tmp_path, full_store, encoding)
+        path = self._saved(tmp_path, full_store)
         with open(path, "ab") as handle:
             handle.write(b"\x00garbage that is not a record\xff")
         with pytest.warns(RuntimeWarning, match="quarantined"):
@@ -264,7 +217,7 @@ class TestCorruption:
     def test_future_version_is_config_error_not_corruption(
         self, tmp_path, full_store, encoding
     ):
-        path = self._saved(tmp_path, full_store, encoding)
+        path = self._saved(tmp_path, full_store)
         with open(path, "rb") as handle:
             header, rest = handle.readline(), handle.read()
         meta = json.loads(header[len(result_store.MAGIC) + 1 :])
@@ -291,9 +244,7 @@ class TestCorruption:
         record["result"]["frames"]["energy_j"] = record["result"]["frames"][
             "energy_j"
         ][:-1]
-        writer = result_store.StoreWriter.create(
-            path, full_store.campaign_name, encoding
-        )
+        writer = result_store.StoreWriter.create(path, full_store.campaign_name)
         writer.append_records([record])
         writer.close()
         with pytest.warns(RuntimeWarning, match="quarantined"):
@@ -301,14 +252,58 @@ class TestCorruption:
         assert salvaged is not None and len(salvaged) == 0
 
 
+class TestOlderArrowFiles:
+    """Stores an older release wrote Arrow-encoded are refused, not salvaged."""
+
+    def _arrow_store(self, path, campaign_name):
+        meta = {"campaign_name": campaign_name, "encoding": "arrow", "version": 1}
+        payload = (
+            result_store.MAGIC
+            + b" "
+            + json.dumps(meta, sort_keys=True).encode()
+            + b"\n"
+            + (16).to_bytes(8, "little")
+            + b"\xff" * 16
+        )
+        with open(path, "wb") as handle:
+            handle.write(payload)
+        return payload
+
+    def _assert_untouched(self, tmp_path, path, payload):
+        with open(path, "rb") as handle:
+            assert handle.read() == payload
+        assert not [name for name in os.listdir(tmp_path) if ".corrupt" in name]
+
+    def test_load_and_load_checkpoint_raise(self, tmp_path, campaign):
+        path = str(tmp_path / "old.store")
+        payload = self._arrow_store(path, campaign.name)
+        for load in (CampaignResult.load, CampaignResult.load_checkpoint):
+            with pytest.raises(ConfigurationError, match="'arrow' encoding"):
+                load(path)
+            self._assert_untouched(tmp_path, path, payload)
+
+    def test_journal_resume_raises(self, tmp_path, campaign):
+        journal = str(tmp_path / "journal.json")
+        with open(journal, "w", encoding="utf-8") as handle:
+            json.dump(
+                {"campaign_name": campaign.name, "attempts": {}, "outcomes": "store"},
+                handle,
+            )
+        sidecar = journal + ".outcomes"
+        payload = self._arrow_store(sidecar, campaign.name)
+        with pytest.raises(ConfigurationError, match="'arrow' encoding"):
+            Coordinator(campaign, journal_path=journal)
+        self._assert_untouched(tmp_path, sidecar, payload)
+
+
 class TestStreamingMerge:
     @pytest.fixture()
     def shard_paths(self, tmp_path, campaign):
         paths = []
         for index in range(2):
-            shard = run_campaign(campaign.shard(index, 2), store="json")
+            shard = run_campaign(campaign.shard(index, 2))
             path = str(tmp_path / f"shard{index}.bin")
-            result_store.save_store(shard, path, result_store.ENCODING_JSONL)
+            result_store.save_store(shard, path)
             paths.append(path)
         return paths
 
@@ -316,43 +311,24 @@ class TestStreamingMerge:
         self, tmp_path, campaign, full_store, shard_paths
     ):
         unsharded = str(tmp_path / "unsharded.json")
-        full_store.save(unsharded, store="json")
+        full_store.save(unsharded)
         merged = str(tmp_path / "merged.json")
-        stats = result_store.merge_store_files(
-            shard_paths, merged, spec=campaign, store="json"
-        )
+        stats = result_store.merge_store_files(shard_paths, merged, spec=campaign)
         assert stats == result_store.MergeStats(
             stores=2, scenarios=len(campaign), duplicates=0
         )
         with open(unsharded, "rb") as f_a, open(merged, "rb") as f_b:
             assert f_a.read() == f_b.read()
 
-    @pytest.mark.parametrize("encoding", ENCODINGS)
-    def test_merge_to_columnar_round_trips(
-        self, tmp_path, campaign, full_store, shard_paths, encoding
-    ):
-        merged = str(tmp_path / "merged.bin")
-        result_store.merge_store_files(
-            shard_paths, merged, spec=campaign, store="arrow"
-        )
-        assert result_store.is_store_file(merged)
-        assert CampaignResult.load(merged).to_dict() == full_store.to_dict()
-
     def test_merge_mixed_legacy_and_columnar_inputs(
         self, tmp_path, campaign, full_store
     ):
         legacy = str(tmp_path / "shard0.json")
         columnar = str(tmp_path / "shard1.bin")
-        run_campaign(campaign.shard(0, 2), store="json").save(legacy)
-        result_store.save_store(
-            run_campaign(campaign.shard(1, 2), store="json"),
-            columnar,
-            result_store.ENCODING_JSONL,
-        )
+        run_campaign(campaign.shard(0, 2)).save(legacy)
+        result_store.save_store(run_campaign(campaign.shard(1, 2)), columnar)
         merged = str(tmp_path / "merged.json")
-        result_store.merge_store_files(
-            [legacy, columnar], merged, spec=campaign, store="json"
-        )
+        result_store.merge_store_files([legacy, columnar], merged, spec=campaign)
         assert CampaignResult.load(merged).to_dict() == full_store.to_dict()
 
     def test_identical_duplicates_union_silently(
@@ -360,7 +336,7 @@ class TestStreamingMerge:
     ):
         merged = str(tmp_path / "merged.json")
         stats = result_store.merge_store_files(
-            shard_paths + [shard_paths[0]], merged, spec=campaign, store="json"
+            shard_paths + [shard_paths[0]], merged, spec=campaign
         )
         assert stats.duplicates == len(
             CampaignResult.load(shard_paths[0])
@@ -373,9 +349,7 @@ class TestStreamingMerge:
             ScenarioOutcome.failure(campaign.scenarios[0], error="x", traceback_text="")
         )
         conflict_path = str(tmp_path / "conflict.bin")
-        result_store.save_store(
-            conflicting, conflict_path, result_store.ENCODING_JSONL
-        )
+        result_store.save_store(conflicting, conflict_path)
         with pytest.raises(SimulationError, match="conflicting outcomes"):
             result_store.merge_store_files(
                 shard_paths + [conflict_path],
@@ -387,7 +361,7 @@ class TestStreamingMerge:
     def test_merge_rejects_different_campaigns(self, tmp_path, shard_paths):
         other = run_campaign(small_campaign(name="other-store", seeds=(1,)))
         other_path = str(tmp_path / "other.bin")
-        result_store.save_store(other, other_path, result_store.ENCODING_JSONL)
+        result_store.save_store(other, other_path)
         with pytest.raises(ConfigurationError, match="different campaigns"):
             result_store.merge_store_files(
                 shard_paths + [other_path], str(tmp_path / "merged.json")
@@ -409,35 +383,26 @@ class TestStreamingMerge:
 class TestExecutorIntegration:
     def test_columnar_checkpoint_resumes(self, tmp_path, campaign):
         checkpoint = str(tmp_path / "ckpt.bin")
-        first = run_campaign(
-            campaign, checkpoint_path=checkpoint, checkpoint_every=1, store="arrow"
-        )
+        first = run_campaign(campaign, checkpoint_path=checkpoint)
         assert result_store.is_store_file(checkpoint)
         saved = CampaignResult.load(checkpoint)
         assert saved.to_dict() == first.to_dict()
         # Resuming from the columnar checkpoint re-runs nothing and is
         # bit-identical.
-        resumed = run_campaign(campaign, resume=saved, store="arrow")
+        resumed = run_campaign(campaign, resume=saved)
         assert resumed.to_dict() == first.to_dict()
 
     def test_torn_columnar_checkpoint_resumes_cleanly(self, tmp_path, campaign):
         checkpoint = str(tmp_path / "ckpt.bin")
-        reference = run_campaign(campaign, store="json")
-        run_campaign(
-            campaign, checkpoint_path=checkpoint, checkpoint_every=1, store="arrow"
-        )
+        reference = run_campaign(campaign)
+        run_campaign(campaign, checkpoint_path=checkpoint)
         with open(checkpoint, "rb") as handle:
             blob = handle.read()
         with open(checkpoint, "wb") as handle:
             handle.write(blob[:-25])
         with pytest.warns(RuntimeWarning, match="quarantined"):
             salvaged = CampaignResult.load_checkpoint(checkpoint)
-        finished = run_campaign(
-            campaign,
-            resume=salvaged,
-            checkpoint_path=checkpoint,
-            store="arrow",
-        )
+        finished = run_campaign(campaign, resume=salvaged, checkpoint_path=checkpoint)
         assert finished.to_dict() == reference.to_dict()
 
 
@@ -448,7 +413,7 @@ class TestExecutorIntegration:
         checkpoint = str(path)
         head = CampaignResult(campaign_name=campaign.name)
         head.add(next(iter(full_store)))
-        head.save(checkpoint, store="arrow")
+        result_store.save_store(head, checkpoint)
         before = path.read_bytes()
         real_replace = os.replace
 
@@ -460,9 +425,7 @@ class TestExecutorIntegration:
 
         monkeypatch.setattr(result_store.os, "replace", interrupted_replace)
         with pytest.raises(CampaignInterrupted) as info:
-            run_campaign(
-                campaign, resume=head, checkpoint_path=checkpoint, store="arrow"
-            )
+            run_campaign(campaign, resume=head, checkpoint_path=checkpoint)
         monkeypatch.undo()
         assert len(info.value.partial) == 1
         # The previous checkpoint survives untouched and no temp is left.
@@ -472,7 +435,7 @@ class TestExecutorIntegration:
 
 class TestServiceIntegration:
     def test_columnar_journal_resumes(self, tmp_path, campaign):
-        serial = run_campaign(campaign, store="json")
+        serial = run_campaign(campaign)
         journal = str(tmp_path / "journal.json")
         coordinator = Coordinator(campaign, journal_path=journal)
         for outcome in list(serial)[:2]:
@@ -489,7 +452,7 @@ class TestServiceIntegration:
         revived.close_journal()
 
     def test_columnar_journal_drains_to_serial_result(self, tmp_path, campaign):
-        serial = run_campaign(campaign, store="json")
+        serial = run_campaign(campaign)
         journal = str(tmp_path / "journal.json")
         coordinator = Coordinator(campaign, journal_path=journal)
         for outcome in serial:
@@ -508,51 +471,41 @@ class TestCli:
         small_campaign(name="store-cli", seeds=(1,)).save(str(path))
         return str(path)
 
-    def test_store_arrow_output_and_checkpoint(self, spec_path, tmp_path):
-        output = str(tmp_path / "results.bin")
-        checkpoint = str(tmp_path / "ckpt.bin")
+    def test_checkpoint_is_columnar_and_loads_like_output(self, spec_path, tmp_path):
+        output = str(tmp_path / "results.json")
+        checkpoint = str(tmp_path / "ckpt.store")
+        assert (
+            cli_main(
+                [spec_path, "--quiet", "--output", output, "--checkpoint", checkpoint]
+            )
+            == 0
+        )
+        assert not result_store.is_store_file(output)
+        assert result_store.is_store_file(checkpoint)
+        loaded = CampaignResult.load(output)
+        assert CampaignResult.load(checkpoint).to_dict() == loaded.to_dict()
+        # Re-running resumes from the columnar checkpoint (nothing re-runs).
+        assert cli_main([spec_path, "--quiet", "--checkpoint", checkpoint]) == 0
+
+    def test_output_blob_unaffected_by_checkpoint(self, spec_path, tmp_path, capsys):
+        plain = str(tmp_path / "plain.json")
+        checkpointed = str(tmp_path / "checkpointed.json")
+        assert cli_main([spec_path, "--quiet", "--output", plain]) == 0
         assert (
             cli_main(
                 [
                     spec_path,
                     "--quiet",
-                    "--store",
-                    "arrow",
                     "--output",
-                    output,
+                    checkpointed,
                     "--checkpoint",
-                    checkpoint,
+                    str(tmp_path / "ckpt.store"),
                 ]
             )
             == 0
         )
-        assert result_store.is_store_file(output)
-        assert result_store.is_store_file(checkpoint)
-        loaded = CampaignResult.load(output)
-        assert CampaignResult.load(checkpoint).to_dict() == loaded.to_dict()
-        # Re-running resumes from the columnar checkpoint (nothing re-runs).
-        assert (
-            cli_main(
-                [spec_path, "--quiet", "--store", "arrow", "--checkpoint", checkpoint]
-            )
-            == 0
-        )
-
-    def test_store_json_output_matches_arrow(self, spec_path, tmp_path, capsys):
-        json_out = str(tmp_path / "results.json")
-        arrow_out = str(tmp_path / "results.bin")
-        assert cli_main([spec_path, "--quiet", "--output", json_out]) == 0
-        assert (
-            cli_main(
-                [spec_path, "--quiet", "--store", "arrow", "--output", arrow_out]
-            )
-            == 0
-        )
-        assert not result_store.is_store_file(json_out) or result_store.arrow_available()
-        assert (
-            CampaignResult.load(arrow_out).to_dict()
-            == CampaignResult.load(json_out).to_dict()
-        )
+        with open(plain, "rb") as f_plain, open(checkpointed, "rb") as f_ckpt:
+            assert f_plain.read() == f_ckpt.read()
 
     def test_shard_merge_with_columnar_shards(self, spec_path, tmp_path):
         spec_file = str(tmp_path / "spec2.json")
@@ -561,20 +514,11 @@ class TestCli:
         assert cli_main([spec_file, "--quiet", "--output", full]) == 0
         shard_files = []
         for index in range(2):
-            out = str(tmp_path / f"shard{index}.bin")
+            out = str(tmp_path / f"shard{index}.store")
             shard_files.append(out)
             assert (
                 cli_main(
-                    [
-                        spec_file,
-                        "--shard",
-                        f"{index}/2",
-                        "--quiet",
-                        "--store",
-                        "arrow",
-                        "--output",
-                        out,
-                    ]
+                    [spec_file, "--shard", f"{index}/2", "--quiet", "--checkpoint", out]
                 )
                 == 0
             )
@@ -582,17 +526,7 @@ class TestCli:
         merged = str(tmp_path / "merged.json")
         assert (
             cli_main(
-                [
-                    "merge",
-                    *shard_files,
-                    "--spec",
-                    spec_file,
-                    "--store",
-                    "json",
-                    "--output",
-                    merged,
-                    "--quiet",
-                ]
+                ["merge", *shard_files, "--spec", spec_file, "--output", merged, "--quiet"]
             )
             == 0
         )
@@ -613,7 +547,7 @@ class TestCli:
         # it journals outcomes to the sidecar store.
         journal = str(tmp_path / "journal.json")
         campaign = CampaignSpec.load(spec_path)
-        serial = run_campaign(campaign, store="json")
+        serial = run_campaign(campaign)
         coordinator = Coordinator(campaign, journal_path=journal)
         for outcome in serial:
             coordinator.submit("w0", None, outcome.to_dict())
