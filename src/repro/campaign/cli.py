@@ -191,7 +191,8 @@ def _run_main(argv: Sequence[str]) -> int:
         default=16,
         metavar="S",
         help="group up to S compatible closed-loop scenarios (same "
-        "application, cluster and config) into one batched-engine step "
+        "application, cluster and config) so they share one generated "
+        "application and one physics table; each still runs on its own "
         "(default 16; 0 disables the batch planner)",
     )
     parser.add_argument(

@@ -282,6 +282,14 @@ def _cached_table_provider(scenario: ScenarioSpec) -> tablepath.TableProvider:
     return provider
 
 
+def _build_application(scenario: ScenarioSpec):
+    """Generate the scenario's application (its seed overrides the factory's)."""
+    app_kwargs = dict(scenario.application.kwargs)
+    if scenario.seed is not None:
+        app_kwargs["seed"] = scenario.seed
+    return registry.application_factory(scenario.application.name)(**app_kwargs)
+
+
 def run_scenario(scenario: ScenarioSpec) -> ScenarioOutcome:
     """Execute one scenario from scratch and return its (``done``) outcome.
 
@@ -303,10 +311,7 @@ def run_scenario(scenario: ScenarioSpec) -> ScenarioOutcome:
     bounded however many frames a scenario sweeps.
     """
     cluster = registry.cluster_factory(scenario.cluster.name)(**scenario.cluster.kwargs)
-    app_kwargs = dict(scenario.application.kwargs)
-    if scenario.seed is not None:
-        app_kwargs["seed"] = scenario.seed
-    application = registry.application_factory(scenario.application.name)(**app_kwargs)
+    application = _build_application(scenario)
     governor = registry.governor_factory(scenario.governor.name)(**scenario.governor.kwargs)
 
     engine = SimulationEngine(
@@ -325,22 +330,24 @@ def run_scenario(scenario: ScenarioSpec) -> ScenarioOutcome:
 
 
 def _run_scenario_with_timeout(
-    scenario: ScenarioSpec, timeout_s: float
+    scenario: ScenarioSpec,
+    timeout_s: float,
+    run: Callable[[ScenarioSpec], ScenarioOutcome],
 ) -> ScenarioOutcome:
-    """Run one scenario on a watchdog thread, bounded to ``timeout_s`` seconds.
+    """Run ``run(scenario)`` on a watchdog thread, bounded to ``timeout_s`` seconds.
 
     The scenario executes on a daemon thread and the caller waits at most
     ``timeout_s``; on expiry a :class:`~repro.errors.ScenarioTimeoutError`
-    is raised (and recorded by :func:`run_scenario_safely` like any other
-    attempt failure).  The abandoned thread cannot be killed — it is left
-    to finish (or hang) as a daemon and its eventual result is discarded,
-    which is the price of never wedging the worker.
+    is raised (and recorded by :func:`_run_attempts` like any other attempt
+    failure).  The abandoned thread cannot be killed — it is left to finish
+    (or hang) as a daemon and its eventual result is discarded, which is
+    the price of never wedging the worker.
     """
     box: dict = {}
 
     def target() -> None:
         try:
-            box["outcome"] = run_scenario(scenario)
+            box["outcome"] = run(scenario)
         except BaseException as exc:  # noqa: BLE001 — re-raised on the caller
             box["error"] = exc
 
@@ -356,6 +363,48 @@ def _run_scenario_with_timeout(
     if "error" in box:
         raise box["error"]
     return box["outcome"]
+
+
+def _run_attempts(
+    scenario: ScenarioSpec,
+    policy: RetryPolicy,
+    run: Callable[[ScenarioSpec], ScenarioOutcome],
+) -> ScenarioOutcome:
+    """Run ``run(scenario)`` under ``policy``, converting failure to an outcome.
+
+    Each attempt runs under the policy's ``timeout_s`` guard (when set); a
+    failed attempt waits out the policy's backoff before the next one.  The
+    first successful attempt wins (its outcome is stamped with the attempt
+    count); if every attempt raises, the final exception's message and
+    traceback are captured in a ``failed`` outcome.
+    """
+    for attempt in range(1, policy.max_attempts + 1):
+        try:
+            if policy.timeout_s is not None:
+                outcome = _run_scenario_with_timeout(scenario, policy.timeout_s, run)
+            else:
+                outcome = run(scenario)
+        except Exception as exc:  # noqa: BLE001 — the whole point is to record it
+            if attempt >= policy.max_attempts:
+                return ScenarioOutcome.failure(
+                    scenario,
+                    error=f"{type(exc).__name__}: {exc}",
+                    traceback_text=traceback_module.format_exc(),
+                    attempts=attempt,
+                )
+            delay = policy.delay_for(attempt, scenario.scenario_id)
+            if delay > 0:
+                time.sleep(delay)
+        else:
+            if attempt > 1:
+                outcome = ScenarioOutcome(
+                    scenario=outcome.scenario,
+                    result=outcome.result,
+                    probe=outcome.probe,
+                    attempts=attempt,
+                )
+            return outcome
+    raise AssertionError("unreachable")  # pragma: no cover
 
 
 def run_scenario_safely(
@@ -382,43 +431,18 @@ def run_scenario_safely(
     policy = retry if retry is not None else RetryPolicy(
         max_attempts=max_attempts, backoff_s=backoff_s
     )
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            if policy.timeout_s is not None:
-                outcome = _run_scenario_with_timeout(scenario, policy.timeout_s)
-            else:
-                outcome = run_scenario(scenario)
-        except Exception as exc:  # noqa: BLE001 — the whole point is to record it
-            if attempt >= policy.max_attempts:
-                return ScenarioOutcome.failure(
-                    scenario,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback_text=traceback_module.format_exc(),
-                    attempts=attempt,
-                )
-            delay = policy.delay_for(attempt, scenario.scenario_id)
-            if delay > 0:
-                time.sleep(delay)
-        else:
-            if attempt > 1:
-                outcome = ScenarioOutcome(
-                    scenario=outcome.scenario,
-                    result=outcome.result,
-                    probe=outcome.probe,
-                    attempts=attempt,
-                )
-            return outcome
-    raise AssertionError("unreachable")  # pragma: no cover
+    return _run_attempts(scenario, policy, run_scenario)
 
 
 # ---------------------------------------------------------------------------
-# Batch planning: group compatible scenarios for the batched engine.
+# Batch planning: group compatible scenarios so they share one application
+# and one physics table.
 # ---------------------------------------------------------------------------
 
 #: One unit of backend work: (batched, [(index into the submitted sequence,
 #: scenario), ...]).  Singleton units carry batched=False and run through
 #: :func:`run_scenario_safely`; batched units through
-#: :func:`run_scenario_batch_safely`.
+#: :func:`run_scenario_batch`.
 WorkUnit = Tuple[bool, List[Tuple[int, ScenarioSpec]]]
 
 #: Memoised "does this governor factory yield a closed-loop governor"
@@ -453,12 +477,11 @@ def _governor_is_closed_loop(scenario: ScenarioSpec) -> bool:
 def _batchable(scenario: ScenarioSpec) -> bool:
     """Whether the batch planner may group ``scenario`` into a batched unit.
 
-    ``auto`` and explicit ``batchpath`` pins go to the batched engine;
-    explicit ``jitpath`` pins are grouped too (the compiled kernels run
-    batches member-by-member — no lock-step needed once the frame loop is
-    compiled) but only when the compiled path is actually available, so a
-    numba-less worker reports the pin mismatch through engine negotiation
-    rather than a mid-batch failure.
+    ``auto`` and explicit ``batchpath`` pins are grouped for
+    :mod:`repro.sim.batchpath`; explicit ``jitpath`` pins are grouped too,
+    but only when the compiled path is actually available, so a numba-less
+    worker reports the pin mismatch through engine negotiation rather than
+    a mid-batch failure.
     """
     if scenario.engine == engine_backends.JITPATH:
         if not jitpath.available():
@@ -479,11 +502,12 @@ def plan_batches(
     (plus seed override), the cluster factory and the simulation config —
     the cluster spec fixes the physics *and* the thermal mode, so one
     precomputed table serves the whole group.  Compatible closed-loop
-    scenarios are grouped (chunked to ``batch_size``) and dispatched to the
-    batched engine; everything else stays a singleton.  Eligible scenarios
-    are routed through ``batchpath`` *even as a group of one* so the
-    ``engine_used`` stamp — and therefore the serialised outcome — does not
-    depend on how the campaign was sharded.
+    scenarios are grouped (chunked to ``batch_size``) and dispatched to
+    :func:`run_scenario_batch`, which generates the application and looks
+    the table up once per group; everything else stays a singleton.
+    Eligible scenarios are routed through ``batchpath`` *even as a group of
+    one* so the ``engine_used`` stamp — and therefore the serialised
+    outcome — does not depend on how the campaign was sharded.
 
     Units are emitted in first-member campaign order, so serial execution
     (and checkpoint growth) tracks the campaign's scenario order.
@@ -518,88 +542,57 @@ def plan_batches(
     return [unit for _, unit in units]
 
 
-def run_scenario_batch(scenarios: Sequence[ScenarioSpec]) -> List[ScenarioOutcome]:
-    """Execute a planned group of compatible scenarios on the batched engine.
+def run_scenario_batch(
+    scenarios: Sequence[ScenarioSpec], retry: Optional[RetryPolicy] = None
+) -> List[ScenarioOutcome]:
+    """Execute a planned group of compatible scenarios, one member at a time.
 
-    Builds one shared application and a fresh cluster + governor per
-    scenario, steps them simultaneously through
-    :func:`repro.sim.batchpath.run_batch` (physics tables served by the
-    worker cache), then applies each scenario's probe while its governor is
-    still live.  Outcomes come back in scenario order, each stamped with
-    ``engine_used="batchpath"``.  Exceptions propagate — use
-    :func:`run_scenario_batch_safely` for the per-scenario fallback.
+    The members share one generated application and one physics table
+    (served by the worker cache), both built by the first member that
+    runs.  Each member builds its own cluster and governor, runs through
+    :func:`repro.sim.batchpath.run_batch` (:func:`repro.sim.jitpath.run_batch`
+    for jitpath-pinned groups) and has its probe applied while its governor
+    is still live.  Each member runs under ``retry`` exactly as
+    :func:`run_scenario_safely` runs a singleton: the same per-attempt
+    timeout guard and backoff, with a failure recorded on that member's
+    outcome alone.  Outcomes come back in scenario order; every member that
+    succeeds is stamped ``engine_used="batchpath"`` (or ``"jitpath"``)
+    whatever happened to its batch-mates.
     """
+    policy = retry if retry is not None else RetryPolicy()
     scenarios = list(scenarios)
-    first = scenarios[0]
-    app_kwargs = dict(first.application.kwargs)
-    if first.seed is not None:
-        app_kwargs["seed"] = first.seed
-    application = registry.application_factory(first.application.name)(**app_kwargs)
+    provider = _cached_table_provider(scenarios[0])
+    if scenarios[0].engine == engine_backends.JITPATH:
+        engine_used, run_batch = engine_backends.JITPATH, jitpath.run_batch
+    else:
+        engine_used, run_batch = engine_backends.BATCHPATH, batchpath.run_batch
+    # (application, tables), built by the first member that gets that far;
+    # the planner's group key makes them valid for every member.
+    shared = None
 
-    members = []
-    for scenario in scenarios:
+    def run_member(scenario: ScenarioSpec) -> ScenarioOutcome:
+        nonlocal shared
         cluster = registry.cluster_factory(scenario.cluster.name)(
             **scenario.cluster.kwargs
         )
         governor = registry.governor_factory(scenario.governor.name)(
             **scenario.governor.kwargs
         )
-        members.append((cluster, governor))
-
-    provider = _cached_table_provider(first)
-    tables = provider(members[0][0], application, first.config)
-    if first.engine == engine_backends.JITPATH:
-        engine_used = engine_backends.JITPATH
-        results = jitpath.run_batch(
-            members,
-            application,
-            first.config,
-            tables=tables,
+        if shared is None:
+            application = _build_application(scenario)
+            shared = (application, provider(cluster, application, scenario.config))
+        application, tables = shared
+        (result,) = run_batch(
+            [(cluster, governor)], application, scenario.config, tables=tables
         )
-    else:
-        engine_used = engine_backends.BATCHPATH
-        results = batchpath.run_batch(
-            members,
-            application,
-            first.config,
-            tables=tables,
-            scalar_cutoffs=batchpath.DEFAULT_SCALAR_CUTOFFS,
-        )
-
-    outcomes = []
-    for scenario, result, (cluster, governor) in zip(scenarios, results, members):
         result.engine_used = engine_used
         probe_data = None
         if scenario.probe is not None:
             probe = registry.probe_factory(scenario.probe.name)
             probe_data = probe(governor, result, **scenario.probe.kwargs)
-        outcomes.append(
-            ScenarioOutcome(scenario=scenario, result=result, probe=probe_data)
-        )
-    return outcomes
+        return ScenarioOutcome(scenario=scenario, result=result, probe=probe_data)
 
-
-def run_scenario_batch_safely(
-    scenarios: Sequence[ScenarioSpec],
-    max_attempts: int = 1,
-    backoff_s: float = 0.0,
-    retry: Optional[RetryPolicy] = None,
-) -> List[ScenarioOutcome]:
-    """Batch execution with per-scenario degradation on failure.
-
-    Any exception from the batched run — one bad scenario, an incompatible
-    member the planner mis-grouped, a backend bug — falls back to running
-    every member through :func:`run_scenario_safely`, which applies the
-    retry policy and records genuinely failing scenarios as ``failed``
-    outcomes without poisoning their batch-mates.
-    """
-    try:
-        return run_scenario_batch(scenarios)
-    except Exception:  # noqa: BLE001 - degrade to the per-scenario path
-        return [
-            run_scenario_safely(scenario, max_attempts, backoff_s, retry=retry)
-            for scenario in scenarios
-        ]
+    return [_run_attempts(scenario, policy, run_member) for scenario in scenarios]
 
 
 class SerialBackend:
@@ -618,7 +611,7 @@ class SerialBackend:
     ) -> Iterator[Tuple[int, ScenarioOutcome]]:
         for batched, entries in units:
             if batched:
-                outcomes = run_scenario_batch_safely(
+                outcomes = run_scenario_batch(
                     [scenario for _, scenario in entries], retry=retry
                 )
                 for (index, _), outcome in zip(entries, outcomes):
@@ -662,7 +655,7 @@ class ProcessPoolBackend:
             for batched, entries in units:
                 if batched:
                     future = pool.submit(
-                        run_scenario_batch_safely,
+                        run_scenario_batch,
                         [scenario for _, scenario in entries],
                         retry=retry,
                     )

@@ -51,6 +51,10 @@ class WorkloadTable:
     operations the scalar engine performs, so converting their (frame,
     point) tables to lists would only slow the precompute down.  The NumPy
     arrays of all three quantities are kept for batch post-processing.
+
+    ``group_columns`` starts as ``None`` and is filled by
+    :mod:`repro.sim.batchpath` with the frame columns every result over
+    this table shares (see ``batchpath._group_columns``).
     """
 
     __slots__ = (
@@ -74,6 +78,7 @@ class WorkloadTable:
         "interval",
         "energy",
         "energy_rows",
+        "group_columns",
     )
 
     def __init__(self, **attributes: Any) -> None:
@@ -152,7 +157,9 @@ class ThermalWorkloadTable:
       visits temperature buckets (only used when the cluster opted into
       ``power_cache_bucket_c`` quantisation, mirroring the scalar power
       cache exactly).  The dict is mutable shared state: a campaign worker
-      reusing this table across scenarios keeps the slices warm.
+      reusing this table across scenarios keeps the slices warm;
+    * ``group_columns`` — the frame columns every result over this table
+      shares, filled on first use by :mod:`repro.sim.batchpath`.
 
     Every derived quantity uses the same IEEE operations, in the same
     order, as the scalar :meth:`Cluster.execute_workload` path, so engines
@@ -187,6 +194,7 @@ class ThermalWorkloadTable:
         "capacitance_j_per_c",
         "throttle_c",
         "power_slices",
+        "group_columns",
     )
 
     def __init__(self, **attributes: Any) -> None:
@@ -679,6 +687,7 @@ class Cluster:
             interval=interval,
             energy=energy,
             energy_rows=energy.tolist(),
+            group_columns=None,
         )
 
     def _trace_timing(
@@ -785,6 +794,7 @@ class Cluster:
             capacitance_j_per_c=thermal.capacitance_j_per_c,
             throttle_c=thermal.throttle_c,
             power_slices=power_slices,
+            group_columns=None,
         )
 
     def advance_time(self, duration_s: float) -> None:

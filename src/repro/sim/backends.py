@@ -11,16 +11,16 @@ strategy is an :class:`EngineBackend` that *declares* its capabilities, and
 
 Built-in backends, in negotiation order (highest priority first):
 
-=========== ======== ================ ====== ===== ===== ===========================
-name        thermal  static schedule  tables numpy batch module
-=========== ======== ================ ====== ===== ===== ===========================
-fastpath    no       required         no     yes   no    :mod:`repro.sim.fastpath`
-jitpath     yes      no               yes    yes   yes   :mod:`repro.sim.jitpath`
-tablepath   no       no               yes    yes   no    :mod:`repro.sim.tablepath`
-thermalpath yes      no               yes    yes   no    :mod:`repro.sim.thermalpath`
-scalar      yes      no               no     no    no    :mod:`repro.sim.scalarpath`
-batchpath   yes      no               yes    yes   yes   :mod:`repro.sim.batchpath`
-=========== ======== ================ ====== ===== ===== ===========================
+=========== ======== ================ ====== ===== ===========================
+name        thermal  static schedule  tables numpy module
+=========== ======== ================ ====== ===== ===========================
+fastpath    no       required         no     yes   :mod:`repro.sim.fastpath`
+jitpath     yes      no               yes    yes   :mod:`repro.sim.jitpath`
+tablepath   no       no               yes    yes   :mod:`repro.sim.tablepath`
+thermalpath yes      no               yes    yes   :mod:`repro.sim.thermalpath`
+scalar      yes      no               no     no    :mod:`repro.sim.scalarpath`
+batchpath   yes      no               yes    yes   :mod:`repro.sim.batchpath`
+=========== ======== ================ ====== ===== ===========================
 
 ``jitpath`` only negotiates when numba is importable (the ``jit`` packaging
 extra) and the ``REPRO_DISABLE_JIT`` kill-switch is unset; without numba the
@@ -82,11 +82,6 @@ class BackendCapabilities:
         The backend consumes precomputed physics tables and will call the
         engine's table provider (the campaign executor's per-worker cache
         hook) when one is supplied.
-    supports_batch:
-        The backend can step multiple compatible scenarios simultaneously
-        (a batch axis over scenarios sharing an application trace, cluster
-        physics and thermal mode).  The campaign batch planner only
-        dispatches scenario groups to backends declaring this flag.
     supports_trace_capture:
         The backend records a complete, deterministic decision trace on its
         results: per-frame operating points and timing/energy columns on
@@ -103,7 +98,6 @@ class BackendCapabilities:
     requires_static_schedule: bool = False
     requires_numpy: bool = False
     supports_tables: bool = False
-    supports_batch: bool = False
     supports_trace_capture: bool = False
 
 
@@ -275,7 +269,6 @@ class JitPathBackend(EngineBackend):
         supports_thermal=True,
         requires_numpy=True,
         supports_tables=True,
-        supports_batch=True,
         supports_trace_capture=True,
     )
     priority = 25
@@ -352,14 +345,14 @@ class ThermalPathBackend(EngineBackend):
 
 
 class BatchPathBackend(EngineBackend):
-    """Batched multi-scenario engine (batch axis over compatible scenarios).
+    """Planner-group engine: table-engine runs over one shared table.
 
-    On a single request it degrades to a batch of one, which is strictly
-    slower than ``tablepath``/``thermalpath`` (same per-frame maths, plus
-    the batch bookkeeping) — hence the negative priority: ``auto`` never
-    selects it.  It earns its keep when the campaign batch planner hands a
-    *group* of compatible scenarios to :func:`repro.sim.batchpath.run_batch`
-    directly, amortising one frame loop across the whole group.
+    On a single request it is a group of one: the same frame loop as
+    ``tablepath``/``thermalpath`` plus the compaction of the result columns
+    — hence the negative priority: ``auto`` never selects it.  The campaign
+    batch planner hands each *group* of compatible scenarios to
+    :func:`repro.sim.batchpath.run_batch` directly, so the members share
+    one generated application and one physics table.
     """
 
     name = BATCHPATH
@@ -367,7 +360,6 @@ class BatchPathBackend(EngineBackend):
         supports_thermal=True,
         requires_numpy=True,
         supports_tables=True,
-        supports_batch=True,
         supports_trace_capture=True,
     )
     priority = -10

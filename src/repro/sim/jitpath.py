@@ -1325,12 +1325,9 @@ def run_batch(
     """Reset, set up and simulate ``members`` through the compiled kernel.
 
     Mirrors :func:`repro.sim.batchpath.run_batch`'s contract (full
-    per-scenario lifecycle, results in member order) but runs members
-    sequentially: a compiled frame loop has no per-frame Python dispatch
-    left to amortise across a batch axis, so lock-stepping would only add
-    bookkeeping.  ``tables`` are validated per member by
-    :func:`simulate_closed_loop` (and rebuilt on mismatch), exactly as the
-    batched engine validates its shared table.
+    per-scenario lifecycle, members run one after another, results in
+    member order).  ``tables`` are validated per member by
+    :func:`simulate_closed_loop` (and rebuilt on mismatch).
     """
     from repro.rtm.governor import PlatformInfo
 

@@ -81,17 +81,10 @@ class TestRegistry:
         assert not matrix["tablepath"].supports_thermal
         assert matrix["thermalpath"].supports_thermal
         assert matrix["thermalpath"].supports_tables
-        assert matrix["batchpath"].supports_batch
         assert matrix["batchpath"].supports_thermal
         assert matrix["jitpath"].supports_thermal
         assert matrix["jitpath"].supports_tables
-        assert matrix["jitpath"].supports_batch
         assert matrix["batchpath"].supports_tables
-        assert not any(
-            capabilities.supports_batch
-            for name, capabilities in matrix.items()
-            if name not in ("batchpath", "jitpath")
-        )
 
     def test_unknown_backend_rejected_with_names(self):
         with pytest.raises(SimulationError, match="registered backends"):
@@ -206,8 +199,8 @@ class TestThirdPartyBackend:
             assert backend.calls == 1
             assert result.engine_used == "recording"
             assert engine.engine_used == "recording"
-            assert not engine.last_used_fast_path
-            assert not engine.last_used_table_path
+            assert engine.engine_used != "fastpath"
+            assert engine.engine_used != "tablepath"
         finally:
             unregister_backend("recording")
         # After unregistration, auto negotiation reverts to the built-ins.
@@ -268,7 +261,7 @@ class TestNegotiation:
         with pytest.raises(SimulationError):
             engine.run(application, OndemandGovernor())
         assert engine.engine_used is None
-        assert not engine.last_used_table_path
+        assert engine.engine_used != "tablepath"
 
     def test_static_schedule_probed_once(self):
         class CountingOracle(OracleGovernor):
@@ -310,13 +303,14 @@ class TestEngineUsedReporting:
         assert engine.engine_used == engine_name
 
     def test_result_aliases_removed(self):
-        # The deprecated last_used_* aliases moved off SimulationResult
-        # (the engine keeps its own); engine_used is the one source of truth.
+        # engine_used is the one source of truth: the deprecated last_used_*
+        # aliases exist on neither the result nor the engine.
         engine = SimulationEngine(build_a15_cluster())
         result = engine.run(mpeg4_application(num_frames=10, seed=1), OndemandGovernor())
         assert result.engine_used == "tablepath"
-        assert not hasattr(result, "last_used_table_path")
-        assert not hasattr(result, "last_used_fast_path")
+        for holder in (result, engine):
+            assert not hasattr(holder, "last_used_table_path")
+            assert not hasattr(holder, "last_used_fast_path")
 
     def test_engine_used_round_trips_through_json(self):
         engine = SimulationEngine(build_a15_cluster())

@@ -1,16 +1,18 @@
-"""Bit-identity and planner tests for the batched multi-scenario engine.
+"""Bit-identity and planner tests for the planner-group engine.
 
-The contract under test: stepping S scenarios through
-:mod:`repro.sim.batchpath` in one batch reproduces S individual runs of the
-per-scenario table engines (:mod:`repro.sim.tablepath` isothermal,
-:mod:`repro.sim.thermalpath` thermal) *exactly* — operating-point
-trajectories, every per-frame float, deadline-miss sets, exploration
-counts, reward histories, final Q-tables and ε, cluster aggregate state
-(energy meter, PMU, DVFS transitions, clock, thermal state) — for every
-governor family, with and without the thermal model, across RL seeds.  On
-top of that engine, the campaign batch planner must group only compatible
-scenarios, stamp ``engine_used="batchpath"`` independent of group size, and
-keep sharded + merged campaign results identical to unsharded runs.
+The contract under test: running S scenarios through
+:mod:`repro.sim.batchpath` as one group over a shared application and
+physics table reproduces S individual runs of the per-scenario table
+engines (:mod:`repro.sim.tablepath` isothermal, :mod:`repro.sim.thermalpath`
+thermal) *exactly* — operating-point trajectories, every per-frame float,
+deadline-miss sets, exploration counts, reward histories, final Q-tables
+and ε, cluster aggregate state (energy meter, PMU, DVFS transitions, clock,
+thermal state) — for every governor, with and without the thermal model,
+across RL seeds.  On top of that engine, the campaign batch planner must
+group only compatible scenarios, stamp ``engine_used="batchpath"``
+independent of group size and of batch-mates' failures, run each member
+under the retry policy like a singleton, and keep sharded + merged campaign
+results identical to unsharded runs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import pickle
 
 import pytest
 
+from repro.campaign.registry import register_governor
+from repro.campaign.spec import FactorySpec
 from repro.errors import SimulationError
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.multicore_dvfs import MultiCoreDVFSGovernor
@@ -28,12 +32,11 @@ from repro.governors.oracle import OracleGovernor
 from repro.governors.performance import PerformanceGovernor
 from repro.governors.powersave import PowersaveGovernor
 from repro.governors.shen_rl import ShenRLGovernor
-from repro.governors.userspace import UserspaceGovernor
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm.multicore import MultiCoreRLGovernor
 from repro.rtm.qlearning import QLearningParameters
 from repro.rtm.rl_governor import RLGovernor, RLGovernorConfig
-from repro.sim import batchpath, tablepath, thermalpath
+from repro.sim import batchpath
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.workload.fft import fft_application
 from repro.workload.video import mpeg4_application
@@ -42,7 +45,7 @@ numpy = pytest.importorskip("numpy")
 
 RL_SEEDS = (0, 1, 2)
 
-#: One factory per vectorisation family plus the scalar-decide fallbacks.
+#: Static, threshold, RL and many-core governors.
 GOVERNOR_FACTORIES = {
     "performance": PerformanceGovernor,
     "powersave": PowersaveGovernor,
@@ -94,8 +97,8 @@ def _assert_columns_identical(reference, batched, label):
     for field in COLUMN_FIELDS:
         expected = list(getattr(reference.columns, field))
         actual = list(getattr(batched.columns, field))
-        # Exact equality: the batched engine must produce the same IEEE
-        # operations as the per-scenario loop, not merely close floats.
+        # Exact equality: a group member must produce the same IEEE
+        # operations as a solo per-scenario run, not merely close floats.
         assert actual == expected, f"{label}: column {field!r} diverged"
 
 
@@ -147,7 +150,7 @@ def _assert_governor_state_identical(reference_governor, governor, label):
 
 
 class TestBitIdentity:
-    """Batched runs reproduce the per-scenario table engines exactly."""
+    """Group runs reproduce the per-scenario table engines exactly."""
 
     @pytest.mark.parametrize("thermal", [False, True], ids=["isothermal", "thermal"])
     def test_mixed_family_batch_matches_per_scenario_engines(self, thermal):
@@ -204,85 +207,8 @@ class TestBitIdentity:
         assert len(trajectories) > 1
 
     @pytest.mark.parametrize("thermal", [False, True], ids=["isothermal", "thermal"])
-    def test_scalar_cutoff_routing_identical_to_forced_batching(
-        self, thermal, monkeypatch
-    ):
-        """The cost model's scalar routing never changes any result.
-
-        With :data:`batchpath.DEFAULT_SCALAR_CUTOFFS`, width-1 ondemand and
-        conservative families, a 3-seed RL family and a generic family sit
-        below their crossover on either thermal mode and run member by
-        member on the per-scenario engine, while a static family at its
-        crossover width stays vectorised — and every result, governor and
-        cluster must match a fully batched run.
-        """
-        application = mpeg4_application(num_frames=120, seed=3)
-        config = SimulationConfig()
-        cutoffs = batchpath.DEFAULT_SCALAR_CUTOFFS[
-            "thermal" if thermal else "isothermal"
-        ]
-        assert 1 < cutoffs["ondemand"]
-        assert 1 < cutoffs["conservative"]
-        assert len(RL_SEEDS) < cutoffs["rl"]
-        static_width = max(2, cutoffs.get("static", 0))
-        static_factories = [PerformanceGovernor, PowersaveGovernor] + [
-            (lambda index=index: UserspaceGovernor(index=index))
-            for index in range(static_width - 2)
-        ]
-        factories = (
-            static_factories
-            + [OndemandGovernor, ConservativeGovernor, OracleGovernor]
-            + [(lambda s=seed: RLGovernor(RLGovernorConfig(seed=s))) for seed in RL_SEEDS]
-        )
-
-        per_scenario = thermalpath if thermal else tablepath
-        routed_governors = []
-        original = per_scenario.simulate_closed_loop
-
-        def spy(cluster, application, governor, *args, **kwargs):
-            routed_governors.append(governor)
-            return original(cluster, application, governor, *args, **kwargs)
-
-        monkeypatch.setattr(per_scenario, "simulate_closed_loop", spy)
-
-        def build_members():
-            return [
-                (build_a15_cluster(enable_thermal=thermal), factory())
-                for factory in factories
-            ]
-
-        forced_members = build_members()
-        forced = batchpath.run_batch(forced_members, application, config)
-        # Generic governors have no vectorised runner, cutoffs or not.
-        assert routed_governors == [forced_members[len(static_factories) + 2][1]]
-
-        routed_governors.clear()
-        routed_members = build_members()
-        routed = batchpath.run_batch(
-            routed_members,
-            application,
-            config,
-            scalar_cutoffs=batchpath.DEFAULT_SCALAR_CUTOFFS,
-        )
-        assert routed_governors == [
-            governor for _cluster, governor in routed_members[len(static_factories) :]
-        ]
-        for position, (reference, result) in enumerate(zip(forced, routed)):
-            label = f"member{position}"
-            _assert_columns_identical(reference, result, label)
-            assert result.exploration_count == reference.exploration_count, label
-            assert result.converged_epoch == reference.converged_epoch, label
-            assert _miss_set(result) == _miss_set(reference), label
-            _assert_governor_state_identical(
-                forced_members[position][1], routed_members[position][1], label
-            )
-            _assert_cluster_state_identical(
-                forced_members[position][0], routed_members[position][0], label
-            )
-
-    @pytest.mark.parametrize("thermal", [False, True], ids=["isothermal", "thermal"])
     def test_routed_member_columns_stay_deferred_until_read(self, thermal):
-        """Routed members keep the batch's compact, lazily listed columns.
+        """Members keep the group's compact, lazily listed columns.
 
         Until a column is read the result holds no Python lists; once read,
         pickled and serialised it is indistinguishable from an eager
@@ -300,12 +226,7 @@ class TestBitIdentity:
             (build_a15_cluster(enable_thermal=thermal), factory())
             for factory in factories.values()
         ]
-        results = batchpath.run_batch(
-            members,
-            application,
-            config,
-            scalar_cutoffs=batchpath.DEFAULT_SCALAR_CUTOFFS,
-        )
+        results = batchpath.run_batch(members, application, config)
         for result in results:
             assert result.columns._loader is not None
         for (label, factory), result in zip(factories.items(), results):
@@ -323,7 +244,7 @@ class TestBitIdentity:
             assert result.to_dict() == expected, label
 
     def test_heterogeneous_rl_hyperparameters_in_one_subgroup(self):
-        """Members differing only in learning rate / ε batch together."""
+        """Members differing only in learning rate / ε group together."""
         application = mpeg4_application(num_frames=200, seed=7)
         config = SimulationConfig()
         factories = [
@@ -354,8 +275,7 @@ class TestBitIdentity:
             )
 
     def test_sensor_noise_members_fall_back_to_scalar_sensor_path(self):
-        """A noisy power sensor forces the per-member sensor loop and still
-        matches the per-scenario engine draw for draw."""
+        """A noisy power sensor matches the per-scenario engine draw for draw."""
         application = mpeg4_application(num_frames=80, seed=3)
         config = SimulationConfig()
 
@@ -460,8 +380,25 @@ class TestBackendRegistration:
         assert result.engine_used == "tablepath"
 
 
+#: Remaining decide() calls of the flaky governor below that raise.
+_FLAKY_DECISIONS = {"left": 0}
+
+
+@register_governor("test-group-flaky-ondemand")
+class _FlakyOndemandGovernor(OndemandGovernor):
+    """Ondemand whose decide() raises while ``_FLAKY_DECISIONS`` allows."""
+
+    name = "flaky-ondemand"
+
+    def decide(self, *args, **kwargs):
+        if _FLAKY_DECISIONS["left"] > 0:
+            _FLAKY_DECISIONS["left"] -= 1
+            raise RuntimeError("transient decide() failure")
+        return super().decide(*args, **kwargs)
+
+
 def _grid_campaign(name="batch-grid", governor_specs=None, num_frames=60):
-    from repro.campaign.spec import CampaignSpec, FactorySpec
+    from repro.campaign.spec import CampaignSpec
 
     governor_specs = governor_specs or {
         "performance": FactorySpec.of("performance"),
@@ -556,7 +493,7 @@ class TestCampaignPlanner:
         )
 
     def test_failing_member_degrades_to_per_scenario_outcomes(self):
-        from repro.campaign.executor import run_scenario_batch_safely
+        from repro.campaign.executor import run_scenario_batch
         from repro.campaign.spec import FactorySpec, ScenarioSpec
 
         good = ScenarioSpec(
@@ -571,8 +508,68 @@ class TestCampaignPlanner:
             governor=FactorySpec.of("userspace", index=99),
             seed=3,
         )
-        outcomes = run_scenario_batch_safely([good, bad])
+        outcomes = run_scenario_batch([good, bad])
         assert [outcome.label for outcome in outcomes] == ["good", "bad"]
         assert outcomes[0].ok
+        assert outcomes[0].result.engine_used == "batchpath"
         assert not outcomes[1].ok
         assert outcomes[1].error
+
+    def test_failed_member_alone_is_retried_and_every_member_keeps_the_stamp(self):
+        """A batch-mate's failure neither reruns nor restamps healthy members."""
+        from repro.campaign.executor import CampaignExecutor, RetryPolicy
+
+        campaign = _grid_campaign(
+            "flaky-group",
+            governor_specs={
+                "flaky": FactorySpec.of("test-group-flaky-ondemand"),
+                "ondemand": FactorySpec.of("ondemand"),
+            },
+        )
+        clean = CampaignExecutor(batch_size=16).run(campaign)
+        _FLAKY_DECISIONS["left"] = 1
+        simulated = []
+        original = batchpath.simulate_batch
+
+        def spy(members, *args, **kwargs):
+            simulated.extend(governor.name for _cluster, governor in members)
+            return original(members, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batchpath, "simulate_batch", spy)
+            flaky = CampaignExecutor(
+                batch_size=16, retry=RetryPolicy(max_attempts=2)
+            ).run(campaign)
+        assert _FLAKY_DECISIONS["left"] == 0
+        by_label = {outcome.label: outcome for outcome in flaky}
+        assert by_label["flaky"].ok and by_label["flaky"].attempts == 2
+        assert by_label["ondemand"].ok and by_label["ondemand"].attempts == 1
+        assert {o.result.engine_used for o in flaky} == {"batchpath"}
+        # The healthy member ran once; only the failed one was retried.
+        assert simulated.count("ondemand") == 1
+        assert simulated.count("flaky-ondemand") == 2
+        assert by_label["ondemand"].to_dict() == clean.outcomes[
+            by_label["ondemand"].scenario_id
+        ].to_dict()
+
+    def test_group_members_run_under_the_per_attempt_timeout(self):
+        """--timeout bounds each group member exactly as it bounds a singleton."""
+        from repro.campaign.executor import CampaignExecutor, RetryPolicy
+
+        campaign = _grid_campaign(
+            "timeout-group",
+            governor_specs={
+                "ondemand": FactorySpec.of("ondemand"),
+                "conservative": FactorySpec.of("conservative"),
+            },
+            num_frames=3000,
+        )
+        policy = RetryPolicy(timeout_s=0.001)
+        for batch_size in (0, 16):
+            result = CampaignExecutor(batch_size=batch_size, retry=policy).run(
+                campaign
+            )
+            assert len(result) == 2
+            for outcome in result:
+                assert not outcome.ok, (batch_size, outcome.label)
+                assert outcome.error.startswith("ScenarioTimeoutError"), outcome.error
